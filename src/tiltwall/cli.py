@@ -16,7 +16,7 @@ from fractions import Fraction
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 from . import catalog
-from .exactnum import format_rational
+from .exactnum import format_rational, parse_rational
 from .hntree import (
     PiecewiseQuadratic,
     assemble_chd0,
@@ -64,14 +64,14 @@ def cmd_walls(args) -> int:
     cfg = _load_config(args)
     v = ChernClass.parse(args.cls)
     cfg.check_class(v)
+    beta = parse_rational(args.beta)
     candidates = enumerate_candidates(
         v,
-        Fraction(args.beta),
-        Fraction(args.amin),
-        Fraction(args.amax) if args.amax else None,
+        beta,
+        parse_rational(args.amin),
+        parse_rational(args.amax) if args.amax else None,
         cfg,
         strict=args.strict,
-        threads=args.threads,
     )
     if args.format == "json":
         data = [
@@ -93,7 +93,7 @@ def cmd_walls(args) -> int:
             )
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "svg":
-        _emit(render_walls_svg(v, candidates, beta_star=Fraction(args.beta)), args.out)
+        _emit(render_walls_svg(v, candidates, beta_star=beta), args.out)
     else:
         header = ["center", "radius_sq", "cross_a", "witness"]
         if args.approx:
@@ -182,7 +182,7 @@ def cmd_validate(args) -> int:
 
 def cmd_hn(args) -> int:
     tree = _resolve_tree(args)
-    factors = hn_factors_at(tree, Fraction(args.a), Fraction(args.beta))
+    factors = hn_factors_at(tree, parse_rational(args.a), parse_rational(args.beta))
     header = ["class", "tilt_slope"]
     rows = []
     for cls, slope in factors:
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amin", required=True, help="lower end of the segment (a = alpha^2/2)")
     p.add_argument("--amax", default=None, help="upper end; default is a conservative bound")
     p.add_argument("--strict", action="store_true", help="strict discriminant inequality")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--approx", action="store_true", help="add 6-digit decimal column")
     p.add_argument("--format", choices=["table", "json", "csv", "svg"], default="table")
     p.set_defaults(func=cmd_walls)

@@ -45,7 +45,11 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """Parse "p", "p/q" or a decimal; malformed text raises ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
 class QuadraticIrrational:

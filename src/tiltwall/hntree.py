@@ -79,8 +79,12 @@ def tree_to_json(tree: HNTree) -> dict:
 
 
 def tree_from_json(data: dict) -> HNTree:
+    if not isinstance(data, dict) or "class" not in data:
+        raise ValueError('tree node must be a JSON object with a "class" entry')
     cls = ChernClass.from_json(data["class"])
     if "children" in data:
+        if not isinstance(data["children"], list) or not isinstance(data.get("wall"), dict):
+            raise ValueError(f'tree node {cls} needs a "wall" object and a "children" list')
         return TreeNode(
             cls,
             wall_from_json(data["wall"]),
@@ -351,8 +355,10 @@ def assemble_chd0(tree: HNTree) -> PiecewiseQuadratic:
             breakpoints.append(x)
             pieces.append(acc)
     fn = PiecewiseQuadratic(breakpoints, pieces)
-    assert fn.pieces[-1] == chd_polynomial(tree.cls)
-    assert fn.check_continuity()
+    if fn.pieces[-1] != chd_polynomial(tree.cls):
+        raise RuntimeError(f"chd0 of {tree.cls}: last piece differs from the root's polynomial")
+    if not fn.check_continuity():
+        raise RuntimeError(f"chd0 of {tree.cls}: assembled function is discontinuous")
     return fn
 
 
@@ -421,7 +427,11 @@ def classify_breakpoints(tree: HNTree) -> list[BreakpointReport]:
         left = chd0.pieces[i].derivative()
         right = chd0.pieces[i + 1].derivative()
         piece_jump = quad_eval(right, x) - quad_eval(left, x)
-        assert piece_jump == jump
+        if piece_jump != jump:
+            raise RuntimeError(
+                f"breakpoint {x}: piece derivative jump {piece_jump} differs from "
+                f"the sum of sqrt(disc) over contributing leaves {jump}"
+            )
         tags = set()
         has_positive = any(discriminant(l.cls) > 0 for l in contributing)
         if has_positive and x.is_rational:

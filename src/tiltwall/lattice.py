@@ -99,7 +99,11 @@ class ChernClass:
 
     @classmethod
     def from_json(cls, data) -> "ChernClass":
+        if not isinstance(data, (list, tuple)) or len(data) != 3:
+            raise ValueError(f"class must be a list [v0, v1, v2], got {data!r}")
         v0, v1, v2 = data
+        if not all(isinstance(x, (int, str)) for x in (v0, v1)):
+            raise ValueError(f"class ranks and degrees must be integers, got {data!r}")
         return cls(int(v0), int(v1), parse_rational(str(v2)))
 
     @classmethod
@@ -108,7 +112,7 @@ class ChernClass:
         parts = text.split(",")
         if len(parts) != 3:
             raise ValueError(f"expected three comma-separated components: {text!r}")
-        return cls(int(parts[0]), int(parts[1]), Fraction(parts[2]))
+        return cls(int(parts[0]), int(parts[1]), parse_rational(parts[2]))
 
 
 class TwistedClass(NamedTuple):

@@ -2,16 +2,22 @@
 
 Walls are loci of equal tilt slope for two classes: semicircles centered on
 the beta-axis (stored by rational center and radius squared) or vertical
-lines.  Enumeration searches the lattice for subobject classes whose wall
-crosses a vertical segment {beta = beta*, a in [a_min, a_max]}, using the
-discriminant window to keep the search finite.
+lines.  Enumeration searches the lattice for subobject classes w whose wall
+crosses a vertical segment {beta = beta*, a in [a_min, a_max]}.
+
+The search is finite and complete.  At the crossing point both the sub w and
+the quotient v - w have nonnegative discriminant; each condition puts a lower
+bound on its share of ch1^beta*(v), and the two shares add up to it.  That
+bounds |w0| + |v0 - w0|, hence the rank window, by an exact test at a_min
+(``_w0_bound``, whose docstring has the proof): the window stays a few ranks
+wide as a_min shrinks, where Delta(w) >= 0 alone gave one that grows like
+1/a_min.  Inside the window, w1 runs over 0 < ch1^beta*(w) <= ch1^beta*(v)
+and w2 over the values allowed by 0 <= disc(w) <= disc(v).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -171,20 +177,59 @@ def default_a_max(v: ChernClass, a_min: Fraction) -> Fraction:
 
 
 def _w0_bound(v: ChernClass, beta_star: Fraction, a_min: Fraction, a_max: Fraction) -> int:
-    """Upper bound for |w0| of any candidate crossing the segment.
+    """Largest |w0| of any candidate crossing the segment (exact, complete).
 
-    On the wall through (beta*, a), disc(w) = t^2 - 2*t*w0*nu(a) - 2*a*w0^2
-    with nu(a) the tilt slope of v there; disc(w) >= 0 confines w0 to an
-    interval whose endpoints are bounded using |nu| <= M (nu is linear in a)
-    and a >= a_min.
+    The window is [min(0, v0) - d, max(0, v0) + d] with d = bound - |v0|;
+    every candidate kept by ``_screen_candidate`` has its rank in it.
+
+    Proof.  Write t_v = ch1^b(v) > 0 and c = ch2^b(v) at b = beta*, and for a
+    candidate w let t = w1 - beta*w0, q = v - w, q0 = v0 - w0, s = t_v - t.
+    The enumeration visits exactly 0 < t <= t_v, so 0 <= s < t_v.  A kept
+    candidate has disc(w) >= 0, disc(q) >= 0 and its wall meets beta = beta*
+    at a = cross_a in [a_min, a_max].  At that point the central charges of
+    v and w are R-collinear, so with nu = (c - a*v0)/t_v (the tilt slope of
+    v; any sign) ch2^b(w) - a*w0 = nu*t and ch2^b(q) - a*q0 = nu*s, and by
+    twist invariance
+
+        disc(w) = t^2 - 2*nu*w0*t - 2*a*w0^2,
+        disc(q) = s^2 - 2*nu*q0*s - 2*a*q0^2.
+
+    For x >= 0 and a > 0, x^2 - 2*nu*c0*x - 2*a*c0^2 >= 0 holds iff
+    x >= R(c0) = nu*c0 + |c0|*sqrt(nu^2 + 2a): the other root is <= 0 (the
+    product of the roots is -2a*c0^2 <= 0).  This needs no sign of nu, so
+    it holds on both sides of the point where the segment meets the
+    hyperbola nu = 0 (ch2^beta(v) = a*v0), and so on a segment on which nu
+    changes sign.  Adding t >= R(w0) and s >= R(q0), with w0 + q0 = v0 and
+    K = |w0| + |q0|:
+
+        nu*v0 + K*sqrt(nu^2 + 2a) <= t_v.
+
+    Multiply by t_v > 0 and put D(a) = (c - a*v0)^2 + 2a*t_v^2 > 0 and
+    N(a) = t_v^2 - v0*c + a*v0^2 = (disc(v) + t_v^2)/2 + a*v0^2 > 0:
+    K*sqrt(D(a)) <= N(a), and as both sides are positive, K^2*D(a) <= N(a)^2.
+    Expanding gives the identity N(a)^2 - v0^2*D(a) = disc(v)*t_v^2 (the
+    a-terms cancel), so the condition reads
+
+        (K^2 - v0^2) * D(a) <= disc(v) * t_v^2.
+
+    D'(a) = 2*N(a) > 0, so D increases on a >= 0 and D(a) >= D(a_min) on the
+    segment, and a_max does not enter the bound.  Finally
+    K = |v0| + 2*dist(w0, [min(0, v0), max(0, v0)]), so with d that distance
+    K^2 - v0^2 = 4*d*(d + |v0|), and every candidate satisfies
+
+        d*(d + |v0|) <= C = disc(v)*t_v^2 / (4*D(a_min)).
+
+    The left side is an integer, so this is d*(d + |v0|) <= floor(C), i.e.
+    (2d + |v0|)^2 <= 4*floor(C) + v0^2, whose largest solution is
+    d = (isqrt(4*floor(C) + v0^2) - |v0|) // 2 >= 0.  Everything above is
+    exact rational and integer arithmetic.
     """
     tv = twist(v, beta_star)
-    t_v, c2v = tv.t1, tv.t2
-    nu_lo = (c2v - a_min * v.v0) / t_v
-    nu_hi = (c2v - a_max * v.v0) / t_v
-    m = max(abs(nu_lo), abs(nu_hi))
-    bound = t_v * (m + _frac_sqrt_ceil(m * m + 2 * a_max)) / (2 * a_min)
-    return int(math.ceil(bound))
+    t_v, c = tv.t1, tv.t2
+    d_min = (c - a_min * v.v0) ** 2 + 2 * a_min * t_v * t_v
+    floor_c = math.floor(discriminant(v) * t_v * t_v / (4 * d_min))
+    m = abs(v.v0)
+    return m + (math.isqrt(4 * floor_c + m * m) - m) // 2
 
 
 def _candidate_pairs_for_w0(
@@ -272,13 +317,11 @@ def enumerate_candidates(
     a_max=None,
     cfg: SurfaceConfig = None,
     strict: bool = False,
-    threads: Optional[int] = None,
 ) -> list[WallCandidate]:
     """All candidate walls for v crossing {beta = beta*, a in [a_min, a_max]}.
 
     Candidates are deduplicated by wall (all witnesses kept, the primary one
     normalized) and sorted by crossing height descending (outermost first).
-    Output is identical for any thread count.
     """
     if cfg is None:
         cfg = SurfaceConfig.preset("ppas")
@@ -298,27 +341,11 @@ def enumerate_candidates(
     if v.v1 - beta_star * v.v0 <= 0:
         raise ValueError("class is not in the heart at beta_star (nonpositive twisted degree)")
 
-    bound = _w0_bound(v, beta_star, a_min, a_max)
-    w0_values = [w0 for w0 in range(-bound, bound + 1) if w0 % cfg.v0_step == 0]
-
-    if threads is None:
-        threads = int(os.environ.get("TILTWALL_THREADS", "1"))
-    threads = max(1, threads)
-
-    def work(chunk):
-        found = []
-        for w0 in chunk:
-            found.extend(
-                _candidate_pairs_for_w0(v, beta_star, a_min, a_max, cfg, w0, strict)
-            )
-        return found
-
-    if threads == 1:
-        raw = work(w0_values)
-    else:
-        chunks = [w0_values[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = [c for part in pool.map(work, chunks) for c in part]
+    d = _w0_bound(v, beta_star, a_min, a_max) - abs(v.v0)
+    raw = []
+    for w0 in range(min(0, v.v0) - d, max(0, v.v0) + d + 1):
+        if w0 % cfg.v0_step == 0:
+            raw.extend(_candidate_pairs_for_w0(v, beta_star, a_min, a_max, cfg, w0, strict))
 
     # canonical grouping by wall, independent of discovery order
     groups: dict[Semicircle, tuple[Fraction, set[ChernClass]]] = {}

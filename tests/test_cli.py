@@ -73,6 +73,13 @@ class TestWallsCommand:
                            "--beta", "-1", "--amin", "1/100")
         assert code == 2 and "multiple" in err
 
+    def test_zero_denominators_exit_2(self, capsys):
+        for cls, beta in (("2,0,-5", "1/0"), ("2,0,1/0", "-2")):
+            code, _, err = run(capsys, "walls", "--class", cls,
+                               "--beta", beta, "--amin", "1/100")
+            assert code == 2
+            assert err.startswith("error: zero denominator") and err.count("\n") == 1
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["walls", "--badflag"])
@@ -140,6 +147,20 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--tree", str(path))
         assert code == 1
         assert "sum" in out
+
+
+    @pytest.mark.parametrize("data", [
+        {"class": 5},
+        {"class": [2, None, 1]},
+        [1, 2, 3],
+        {"class": [2, 0, -2], "children": 3},
+    ])
+    def test_malformed_tree_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", "--tree", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestHnCommand:

@@ -200,6 +200,12 @@ class TestAssembly:
         with pytest.raises(ValueError, match="invalid tree"):
             assemble_chd0(bad)
 
+    def test_broken_invariant_raises_not_asserts(self, monkeypatch):
+        # explicit checks, so they also hold under python -O
+        monkeypatch.setattr(PiecewiseQuadratic, "check_continuity", lambda self: False)
+        with pytest.raises(RuntimeError, match="discontinuous"):
+            assemble_chd0(n4_tree())
+
     def test_chd1_alternating_identity(self):
         tree = n4_tree()
         chd0, chd1 = assemble_chd0(tree), assemble_chd1(tree)
@@ -255,6 +261,14 @@ class TestBreakpointReports:
         assert r.derivative_jump == QI(2)
         assert not r.overlap
         assert r.condition_tags == frozenset({"a"})
+
+    def test_jump_mismatch_raises(self, monkeypatch):
+        import tiltwall.hntree as hntree
+
+        monkeypatch.setattr(hntree, "quad_eval", lambda p, x: QI(0))
+        tree = catalog.load_scenario("ppas-ideal-3-collinear").tree
+        with pytest.raises(RuntimeError, match="derivative jump"):
+            classify_breakpoints(tree)
 
     def test_jump_matches_piece_derivatives(self):
         for sid in catalog.list_scenarios():

@@ -2,13 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from tiltwall.lattice import ChernClass, SurfaceConfig, class_sub, discriminant, twist
+from tiltwall import catalog
+from tiltwall.lattice import (
+    ChernClass,
+    SurfaceConfig,
+    class_sub,
+    discriminant,
+    line_bundle_class,
+    mu_slope,
+    twist,
+)
 from tiltwall.walls import (
     Nesting,
     Semicircle,
     VerticalWall,
+    _w0_bound,
+    default_a_max,
     enumerate_candidates,
     nesting,
     slope_crossing_oracle,
@@ -17,6 +28,7 @@ from tiltwall.walls import (
     wall_from_json,
 )
 from conftest import equal_slope_height, fit_circle_through_heights, random_class
+from walls_oracle import brute_force_candidates, loose_w0_bound
 
 F = Fraction
 ints = st.integers(min_value=-10, max_value=10)
@@ -186,12 +198,6 @@ class TestEnumeration:
         strict = enumerate_candidates(v, F(-6), F(1, 100), F(30), strict=True)
         assert {c.wall for c in strict} <= {c.wall for c in loose}
 
-    def test_thread_counts_agree(self):
-        v = ChernClass(2, 0, -5)
-        base = enumerate_candidates(v, F(-2), F(1, 100), F(10), threads=1)
-        for n in (2, 3, 8):
-            assert enumerate_candidates(v, F(-2), F(1, 100), F(10), threads=n) == base
-
     def test_pairwise_nesting_of_output(self):
         cands = enumerate_candidates(ChernClass(2, 0, -25), F(-6), F(1, 100), F(30))
         for i in range(len(cands)):
@@ -215,6 +221,84 @@ class TestEnumeration:
             for c in cands:
                 assert discriminant(c.witness) >= 0
                 assert discriminant(class_sub(v, c.witness)) >= 0
+
+
+def _outputs(cands):
+    """Everything a query reports: wall, crossing height, witnesses, in order."""
+    return [(c.wall, c.cross_a, c.witness, c.witnesses) for c in cands]
+
+
+@st.composite
+def small_queries(draw):
+    """(cfg, v, beta*, a_min, a_max, strict) valid for enumerate_candidates.
+
+    Ranks and degrees stay within a few lattice steps and beta* within 4 of
+    mu(v), so the brute-force oracle's 1/a_min window stays cheap.
+    """
+    cfg = SurfaceConfig.preset(draw(st.sampled_from(["ppas", "abelian-(1,2)"])))
+    v0 = cfg.v0_step * draw(st.integers(-1, 1))
+    v1 = cfg.v1_step * draw(st.integers(1 if v0 == 0 else -2, 2))
+    den = cfg.v2_denominator
+    v = ChernClass(v0, v1, F(draw(st.integers(-4 * den, 4 * den)), den))
+    assume(discriminant(v) >= 0)
+    offset = F(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    if v0 == 0:
+        beta = F(draw(st.integers(-8, 8)), draw(st.integers(1, 4)))
+    else:
+        beta = mu_slope(v) - offset if v0 > 0 else mu_slope(v) + offset
+    a_min = F(1, draw(st.integers(10, 50)))
+    a_max = draw(st.none() | st.integers(0, 40).map(lambda k: a_min + F(k, 4)))
+    return cfg, v, beta, a_min, a_max, draw(st.booleans())
+
+
+ABELIAN = SurfaceConfig.preset("abelian-(1,2)")
+PPAS = SurfaceConfig.preset("ppas")
+
+
+class TestRankWindow:
+    """The two-sided w0 window against the loose one and the brute force."""
+
+    def test_probe_window_is_small_and_independent_of_a_min(self):
+        v = ChernClass(2, 0, -25)
+        bounds = [_w0_bound(v, F(-6), a_min, F(30)) for a_min in (F(1, 100), F(1, 1000))]
+        assert bounds == [6, 6]
+        assert loose_w0_bound(v, F(-6), F(1, 100), F(30)) == 7850
+
+    @given(small_queries())
+    @settings(max_examples=100, deadline=None)
+    def test_never_wider_than_loose_bound(self, query):
+        cfg, v, beta, a_min, a_max, _ = query
+        a_max = default_a_max(v, a_min) if a_max is None else a_max
+        assert abs(v.v0) <= _w0_bound(v, beta, a_min, a_max) <= loose_w0_bound(
+            v, beta, a_min, a_max
+        )
+
+    @given(small_queries())
+    @settings(max_examples=60, deadline=None)
+    @example((PPAS, ChernClass(2, 0, -5), F(-2), F(1, 20), None, False))
+    @example((ABELIAN, ChernClass(-4, -8, 3), F(7, 2), F(1, 15), None, False))
+    @example((ABELIAN, ChernClass(0, 8, 0), F(0), F(1, 20), F(5), True))
+    @example((PPAS, ChernClass(0, 4, -8), F(-2), F(1, 20), None, False))
+    def test_matches_brute_force(self, query):
+        cfg, v, beta, a_min, a_max, strict = query
+        fast = enumerate_candidates(v, beta, a_min, a_max, cfg, strict=strict)
+        slow = brute_force_candidates(v, beta, a_min, a_max, cfg, strict=strict)
+        assert _outputs(fast) == _outputs(slow)
+
+    def test_catalog_queries_match_brute_force(self):
+        # every scenario class on the segment `tiltwall check` searches
+        queries = {
+            (s.cls, s.config) for s in map(catalog.load_scenario, catalog.list_scenarios())
+        }
+        for cls, cfg in sorted(queries, key=str):
+            args = (cls, F(-2), F(1, 100), F(10), cfg)
+            assert _outputs(enumerate_candidates(*args)) == _outputs(
+                brute_force_candidates(*args)
+            )
+        for k in (-2, -1, 1, 2):
+            v = line_bundle_class(k, PPAS)
+            args = (v, mu_slope(v) - 2, F(1, 100), F(10))
+            assert enumerate_candidates(*args) == brute_force_candidates(*args) == []
 
 
 class TestOracle:
