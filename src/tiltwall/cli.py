@@ -142,6 +142,8 @@ def _resolve_tree(args):
 
 
 def cmd_chd(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.scenario and args.k == 0:
         fn = _scenario_function(catalog.load_scenario(args.scenario))
     else:

@@ -4,6 +4,13 @@ Rationals are `fractions.Fraction` (arbitrary precision, always reduced).
 Quadratic irrationals are values a + b*sqrt(d) with rational a, b and
 squarefree d >= 0, canonicalized so that b == 0 iff d == 0.  All comparisons
 are exact; no floating point is used anywhere in this module.
+
+The cost of a ring operation does not depend on the radicand.  Only the
+public constructor and `QuadraticIrrational.sqrt` factor a radicand, and
+`squarefree_decompose` trial-divides only up to the cube root of the
+cofactor.  The ring operations combine canonical operands of one field
+Q(sqrt(d)), so their results are built by the trusted constructor
+`QuadraticIrrational._canonical`, which never factors.
 """
 
 from __future__ import annotations
@@ -18,13 +25,23 @@ RationalLike = Union[int, Fraction]
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n > 0 as s**2 * d with d squarefree; returns (s, d)."""
+    """Write n > 0 as s**2 * d with d squarefree; returns (s, d).
+
+    Trial division runs only while p**3 <= n, where n is the cofactor still
+    undivided, so a radicand near 5e10 costs about 1,800 divisions rather
+    than 110,000.  Completeness: when the loop stops, every prime below p has
+    been divided out, so every prime factor of the cofactor is at least p,
+    and p**3 > n.  The cofactor therefore has at most two prime factors
+    counted with multiplicity: it is 1, q, q*r or q**2 with q != r primes at
+    least p.  Of these only 1 and q**2 are squares, and one isqrt test tells
+    them apart; q and q*r are squarefree and coprime to the primes already
+    in d, so they join d whole.
+    """
     if n <= 0:
         raise ValueError("squarefree_decompose expects a positive integer")
     s, d = 1, 1
-    # pull out squared prime factors by trial division
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -34,7 +51,11 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= n  # leftover prime
+    r = math.isqrt(n)
+    if r * r == n:
+        s *= r
+    else:
+        d *= n
     return s, d
 
 
@@ -77,6 +98,29 @@ class QuadraticIrrational:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _canonical(cls, a: Fraction, b: Fraction, d: int) -> "QuadraticIrrational":
+        """Trusted constructor: build a + b*sqrt(d) without factoring d.
+
+        The caller guarantees that a and b are Fractions and that d is 0 or a
+        squarefree integer other than 1.  Only the collapse b == 0 => d = 0 is
+        applied.  Callers and why they qualify:
+
+        - `__add__`, `__neg__` and `__mul__`: both operands are canonical and
+          `_common_field` returns the radicand of one of them, so d is 0 or
+          squarefree and never 1.  A sum or product whose irrational part
+          cancels (say a conjugate product) is rational and collapses here.
+        - `sqrt`: d is the squarefree part returned by its one decomposition
+          of num*den, with d == 1 handled there as a rational root.
+        """
+        if b == 0:
+            d = 0
+        self = object.__new__(cls)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticIrrational is immutable")
 
@@ -92,7 +136,9 @@ class QuadraticIrrational:
             return cls(0)
         # sqrt(p/q) = sqrt(p*q)/q
         s, d = squarefree_decompose(q.numerator * q.denominator)
-        return cls(0, Fraction(s, q.denominator), d)
+        if d == 1:
+            return cls._canonical(Fraction(s, q.denominator), Fraction(0), 0)
+        return cls._canonical(Fraction(0), Fraction(s, q.denominator), d)
 
     # -- queries -----------------------------------------------------------
 
@@ -161,12 +207,12 @@ class QuadraticIrrational:
         if other is NotImplemented:
             return NotImplemented
         d = self._common_field(other)
-        return QuadraticIrrational(self.a + other.a, self.b + other.b, d)
+        return QuadraticIrrational._canonical(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticIrrational(-self.a, -self.b, self.d)
+        return QuadraticIrrational._canonical(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -182,7 +228,7 @@ class QuadraticIrrational:
         if other is NotImplemented:
             return NotImplemented
         d = self._common_field(other)
-        return QuadraticIrrational(
+        return QuadraticIrrational._canonical(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -351,8 +397,3 @@ def quad_roots(p: QuadPoly) -> list[Root]:
     if r1 > r2:
         r1, r2 = r2, r1
     return [Root(r1, 1), Root(r2, 1)]
-
-
-def qi_compare(x: QuadraticIrrational, y: QuadraticIrrational) -> int:
-    """Total order on quadratic irrationals: -1, 0 or 1."""
-    return x.compare(y)

@@ -23,6 +23,9 @@ class LatticeError(ValueError):
     """A class violates the lattice constraints of a surface configuration."""
 
 
+_CONFIG_FIELDS = ("l2", "v0_step", "v1_step", "v2_denominator", "minimal_discriminant")
+
+
 @dataclass(frozen=True)
 class SurfaceConfig:
     """Numerical data of a polarized surface with Picard rank 1."""
@@ -35,7 +38,7 @@ class SurfaceConfig:
     name: str = "custom"
 
     def __post_init__(self):
-        for field in ("l2", "v0_step", "v1_step", "v2_denominator", "minimal_discriminant"):
+        for field in _CONFIG_FIELDS:
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive")
 
@@ -58,24 +61,23 @@ class SurfaceConfig:
             )
 
     def to_json(self) -> dict:
-        return {
-            "l2": self.l2,
-            "v0_step": self.v0_step,
-            "v1_step": self.v1_step,
-            "v2_denominator": self.v2_denominator,
-            "minimal_discriminant": self.minimal_discriminant,
-        }
+        return {field: getattr(self, field) for field in _CONFIG_FIELDS}
 
     @classmethod
-    def from_json(cls, data: dict) -> "SurfaceConfig":
-        return cls(
-            int(data["l2"]),
-            int(data["v0_step"]),
-            int(data["v1_step"]),
-            int(data["v2_denominator"]),
-            int(data["minimal_discriminant"]),
-            name=data.get("name", "custom"),
-        )
+    def from_json(cls, data) -> "SurfaceConfig":
+        """Config from its JSON object; malformed data raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
+        for field in _CONFIG_FIELDS:
+            if field not in data:
+                raise ValueError(f"config is missing {field!r}")
+            value = data[field]
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"config field {field!r} must be an integer, got {value!r}")
+        name = data.get("name", "custom")
+        if not isinstance(name, str):
+            raise ValueError(f"config name must be a string, got {name!r}")
+        return cls(*(data[field] for field in _CONFIG_FIELDS), name=name)
 
 
 @dataclass(frozen=True)

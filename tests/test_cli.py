@@ -80,6 +80,28 @@ class TestWallsCommand:
             assert code == 2
             assert err.startswith("error: zero denominator") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("config", [
+        {"l2": None},
+        [1],
+        {"l2": 2, "v0_step": 2, "v1_step": 2, "v2_denominator": 2},
+        {"l2": 2, "v0_step": 2, "v1_step": 2, "v2_denominator": 2,
+         "minimal_discriminant": "4"},
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "walls", "--class", "2,0,-5", "--beta", "-2",
+                             "--amin", "1/100", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"l2": 2, "v0_step": 2, "v1_step": 2,
+                                    "v2_denominator": 2, "minimal_discriminant": 4}))
+        args = ("walls", "--class", "2,0,-5", "--beta", "-2", "--amin", "1/100")
+        assert run(capsys, *args, "--config", str(path)) == run(capsys, *args)
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["walls", "--badflag"])
@@ -116,6 +138,13 @@ class TestChdCommand:
         with pytest.raises(SystemExit) as e:
             main(["chd"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exits_2(self, capsys, samples):
+        code, out, err = run(capsys, "chd", "--scenario", "ppas-ideal-2",
+                             "--format", "csv", "--samples", samples)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --samples") and err.count("\n") == 1
 
     def test_svg(self, capsys):
         code, out, _ = run(

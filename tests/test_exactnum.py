@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from squarefree_oracle import is_prime, squarefree_decompose_sqrt
+from tiltwall import exactnum
 from tiltwall.exactnum import (
     QuadPoly,
     QuadraticIrrational as QI,
@@ -40,6 +42,39 @@ class TestSquarefreeDecompose:
             if p * p > d:
                 break
             assert d % (p * p) != 0
+
+    def test_matches_oracle_exhaustively(self):
+        for n in range(1, 200_001):
+            assert squarefree_decompose(n) == squarefree_decompose_sqrt(n), n
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**12))
+    def test_matches_oracle_up_to_1e12(self, n):
+        assert squarefree_decompose(n) == squarefree_decompose_sqrt(n)
+
+    # q*q <= r puts q below the cube root of q*r, so the loop divides q out;
+    # q*q > r leaves q*r whole for the final square test.
+    BELOW, ABOVE = (997, 1_000_003), (1009, 1_000_003)
+    PRIMES = (2, 3, 997, 1009, 10_007, 1_000_003)
+    NEAR_5E10 = (49_999_999_967, 50_000_000_021)
+
+    def test_structured_cases_match_oracle(self):
+        (q1, r1), (q2, r2) = self.BELOW, self.ABOVE
+        assert q1**3 <= q1 * r1 and q2**3 > q2 * r2
+        primes = self.PRIMES + self.NEAR_5E10
+        assert all(is_prime(p) for p in primes)
+        cases = [(p, (1, p)) for p in primes]
+        for q in self.PRIMES:
+            cases += [(q * q, (q, 1)), (q**3, (q, q))]
+            for r in self.PRIMES:
+                if q != r:
+                    cases += [
+                        (q * r, (1, q * r)),
+                        (q * q * r, (q, r)),
+                        (q * q * r * r, (q * r, 1)),
+                    ]
+        for n, expected in cases:
+            assert squarefree_decompose(n) == expected == squarefree_decompose_sqrt(n), n
 
 
 class TestCanonicalForm:
@@ -121,6 +156,57 @@ class TestArithmetic:
     def test_conjugate_product_is_rational(self):
         x = QI(3, 2, 7)
         assert x * QI(3, -2, 7) == QI(9 - 4 * 7)
+
+
+class TestCanonicalOps:
+    BIG_PRIME = 1_000_000_000_039  # above 10**12
+
+    def test_ring_ops_never_decompose(self, monkeypatch):
+        d = self.BIG_PRIME
+        x, y = QI(Fraction(1, 3), 2, d), QI(-5, Fraction(7, 2), d)
+        conj = QI(x.a, -x.b, d)
+        p = QuadPoly(1, -2, 3)
+
+        def refuse(n):
+            raise RuntimeError(f"ring op factored radicand {n}")
+
+        monkeypatch.setattr(exactnum, "squarefree_decompose", refuse)
+        sums = [x + y, x - y, -x, 3 - x, x + Fraction(1, 2)]
+        products = [x * y, 2 * x, x * conj, quad_eval(p, x), quad_eval(p, 7)]
+        monkeypatch.undo()
+        assert sums == [
+            QI(Fraction(-14, 3), Fraction(11, 2), d),
+            QI(Fraction(16, 3), Fraction(-3, 2), d),
+            QI(Fraction(-1, 3), -2, d),
+            QI(Fraction(8, 3), -2, d),
+            QI(Fraction(5, 6), 2, d),
+        ]
+        assert products[:3] == [
+            QI(Fraction(-5, 3) + 7 * d, Fraction(-10 + Fraction(7, 6)), d),
+            QI(Fraction(2, 3), 4, d),
+            QI(Fraction(1, 9) - 4 * d),
+        ]
+        assert products[3] == p.eval_rational(x.a) + QI(0, x.b, d) * (
+            p.c1 + 2 * p.c2 * x.a
+        ) + p.c2 * x.b * x.b * d
+        assert products[4] == QI(p.eval_rational(7))
+
+    @given(rationals, rationals, rationals, rationals,
+           st.integers(min_value=0, max_value=10**6))
+    def test_results_equal_public_rebuild(self, a1, b1, a2, b2, d):
+        x, y = QI(a1, b1, d), QI(a2, b2, d)
+        conj = QI(x.a, -x.b, x.d)
+        results = [
+            x + y, x - y, -x, x * y, x * conj, x + a2, a2 - x, x * a2,
+            quad_eval(QuadPoly(a2, b2, a1), x), QI.sqrt(abs(a1)),
+        ]
+        assert results[4].is_rational
+        assert results[-1] * results[-1] == QI(abs(a1))
+        for r in results:
+            rebuilt = QI(r.a, r.b, r.d)
+            assert (r.a, r.b, r.d) == (rebuilt.a, rebuilt.b, rebuilt.d)
+            assert type(r.a) is Fraction and type(r.b) is Fraction and type(r.d) is int
+            assert hash(r) == hash(rebuilt)
 
 
 class TestParseFormat:
