@@ -15,7 +15,6 @@ from .hntree import (
     assemble_chd1,
     classify_breakpoints,
     hn_factors_at,
-    serre_dual_function,
     tree_from_json,
     tree_to_json,
     trivial_chd,
@@ -67,7 +66,6 @@ __all__ = [
     "parse_quadratic_irrational",
     "quad_eval",
     "quad_roots",
-    "serre_dual_function",
     "slope_crossing_oracle",
     "tilt_slope",
     "tree_from_json",

@@ -2,7 +2,9 @@
 
 Each scenario bundles a surface configuration, a class, its destabilization
 tree (or a trivial marker), and the expected Chern degree function; they are
-the regression fixtures of the package and double as CLI demos.
+the regression fixtures of the package and double as CLI demos.  The module
+also owns the regression matrix over them, `regression_checks`, which both
+`tiltwall check` and the test suite run.
 
 Torsion quotient classes were computed from the Euler characteristic of a
 line bundle of degree d on the genus-2 theta divisor: v = (0, 2, d - 1) on a
@@ -16,9 +18,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import QuadPoly, QuadraticIrrational
-from .hntree import HNTree, PiecewiseQuadratic, TreeLeaf, TreeNode
-from .lattice import ChernClass, SurfaceConfig
-from .walls import Semicircle
+from .hntree import (
+    HNTree,
+    PiecewiseQuadratic,
+    TreeLeaf,
+    TreeNode,
+    assemble_chd0,
+    classify_breakpoints,
+    validate_tree,
+)
+from .lattice import ChernClass, SurfaceConfig, discriminant, line_bundle_class, mu_slope
+from .walls import Semicircle, enumerate_candidates, slope_crossing_oracle, wall_a_at
 
 QI = QuadraticIrrational
 F = Fraction
@@ -298,3 +308,52 @@ def load_scenario(scenario_id: str) -> Scenario:
         return _SCENARIOS[scenario_id]
     except KeyError:
         raise KeyError(f"unknown scenario: {scenario_id!r}") from None
+
+
+def _scenario_checks(s: Scenario) -> list[tuple[str, bool]]:
+    results = []
+    if s.tree is not None:
+        if not s.trivial:
+            results.append((f"{s.id}: tree valid", bool(validate_tree(s.tree))))
+        if s.expected_chd0 is not None:
+            fn = assemble_chd0(s.tree)
+            results.append((f"{s.id}: chd0 regression", fn == s.expected_chd0))
+            results.append((f"{s.id}: continuity", fn.check_continuity()))
+            results.append((f"{s.id}: nonnegative", fn.check_nonnegative()))
+        if s.expected_jumps:
+            jumps = {r.x: r.derivative_jump for r in classify_breakpoints(s.tree)}
+            results.append((f"{s.id}: derivative jumps", jumps == s.expected_jumps))
+    if s.expected_walls:
+        beta = F(-2)
+        found = {
+            c.wall: c
+            for c in enumerate_candidates(s.cls, beta, F(1, 100), F(10), s.config)
+        }
+        for wall in s.expected_walls:
+            c = found.get(wall)
+            ok = (
+                c is not None
+                and c.cross_a == wall_a_at(wall, beta)
+                and slope_crossing_oracle(s.cls, c.witness, wall, F(1, 64))
+            )
+            results.append((f"{s.id}: wall {wall} found+confirmed", ok))
+    return results
+
+
+def regression_checks() -> list[tuple[str, bool]]:
+    """Every catalog regression as (name, passed), in a fixed order.
+
+    Per scenario, by id: validity of a tree with a wall, the chd0
+    regression with continuity and nonnegativity, the whole map of derivative
+    jumps, and each expected wall found on beta = -2 at its exact crossing
+    height and confirmed by the slope-crossing oracle.  Then discriminant-0
+    rigidity: four line bundle classes admit no candidate wall.
+    """
+    results: list[tuple[str, bool]] = []
+    for sid in list_scenarios():
+        results.extend(_scenario_checks(load_scenario(sid)))
+    for k in (-2, -1, 1, 2):
+        v = line_bundle_class(k, PPAS)
+        cands = enumerate_candidates(v, F(mu_slope(v)) - 2, F(1, 100), F(10))
+        results.append((f"disc-0 rigidity for {v} (disc {discriminant(v)})", not cands))
+    return results

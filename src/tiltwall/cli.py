@@ -12,31 +12,22 @@ import re
 import sys
 from fractions import Fraction
 
-# accept negative fractions like -5/2 as option values, not flags
-_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# no option starts with a digit, so "-5/2", "-.5" and "-2,4,-3" are values
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 from . import catalog
 from .exactnum import format_rational, parse_rational
 from .hntree import (
-    PiecewiseQuadratic,
     assemble_chd0,
     assemble_chd1,
-    classify_breakpoints,
     hn_factors_at,
     tree_from_json,
     tree_to_json,
-    trivial_chd,
     validate_tree,
 )
-from .lattice import (
-    ChernClass,
-    SurfaceConfig,
-    discriminant,
-    line_bundle_class,
-    mu_slope,
-)
+from .lattice import ChernClass, SurfaceConfig
 from .svgplot import render_function_svg, render_walls_svg
-from .walls import enumerate_candidates, slope_crossing_oracle
+from .walls import enumerate_candidates
 
 USAGE_ERROR, CHECK_FAILURE = 2, 1
 
@@ -123,14 +114,6 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scenario_function(scenario) -> PiecewiseQuadratic:
-    if scenario.tree is None:
-        raise ValueError(f"scenario {scenario.id} carries wall data only")
-    if scenario.trivial:
-        return trivial_chd(scenario.cls)
-    return assemble_chd0(scenario.tree)
-
-
 def _resolve_tree(args):
     if args.scenario:
         scenario = catalog.load_scenario(args.scenario)
@@ -144,11 +127,8 @@ def _resolve_tree(args):
 def cmd_chd(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if args.scenario and args.k == 0:
-        fn = _scenario_function(catalog.load_scenario(args.scenario))
-    else:
-        tree = _resolve_tree(args)
-        fn = assemble_chd1(tree) if args.k == 1 else assemble_chd0(tree)
+    tree = _resolve_tree(args)
+    fn = assemble_chd1(tree) if args.k == 1 else assemble_chd0(tree)
     if args.format == "json":
         _emit(json.dumps(fn.to_json(), indent=2) + "\n", args.out)
     elif args.format == "csv":
@@ -218,56 +198,14 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _check_scenario(scenario) -> list[tuple[str, bool]]:
-    results = []
-    if scenario.tree is not None:
-        if not scenario.trivial:
-            results.append(
-                (f"{scenario.id}: tree valid", bool(validate_tree(scenario.tree)))
-            )
-        if scenario.expected_chd0 is not None:
-            fn = _scenario_function(scenario)
-            results.append(
-                (f"{scenario.id}: chd0 regression", fn == scenario.expected_chd0)
-            )
-            results.append((f"{scenario.id}: continuity", fn.check_continuity()))
-            results.append((f"{scenario.id}: nonnegative", fn.check_nonnegative()))
-        if scenario.expected_jumps:
-            reports = {r.x: r for r in classify_breakpoints(scenario.tree)}
-            ok = all(
-                x in reports and reports[x].derivative_jump == jump
-                for x, jump in scenario.expected_jumps.items()
-            )
-            results.append((f"{scenario.id}: derivative jumps", ok))
-    for wall in scenario.expected_walls:
-        cands = enumerate_candidates(
-            scenario.cls, Fraction(-2), Fraction(1, 100), Fraction(10), scenario.config
-        )
-        found = next((c for c in cands if c.wall == wall), None)
-        ok = found is not None and slope_crossing_oracle(
-            scenario.cls, found.witness, wall, Fraction(1, 64)
-        )
-        results.append((f"{scenario.id}: wall {wall} found+confirmed", ok))
-    return results
-
-
 def cmd_check(args) -> int:
-    results: list[tuple[str, bool]] = []
-    for sid in catalog.list_scenarios():
-        results.extend(_check_scenario(catalog.load_scenario(sid)))
-    # cross-scenario rigidity: discriminant-0 classes admit no candidate walls
-    for k in (-2, -1, 1, 2):
-        v = line_bundle_class(k, SurfaceConfig.preset("ppas"))
-        cands = enumerate_candidates(
-            v, Fraction(mu_slope(v)) - 2, Fraction(1, 100), Fraction(10)
-        )
-        results.append((f"disc-0 rigidity for {v} (disc {discriminant(v)})", not cands))
-    failed = [name for name, ok in results if not ok]
+    results = catalog.regression_checks()
     width = max(len(name) for name, _ in results)
     for name, ok in results:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}")
-    print(f"\n{len(results) - len(failed)}/{len(results)} checks passed")
-    return CHECK_FAILURE if failed else 0
+    passed = sum(ok for _, ok in results)
+    print(f"\n{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else CHECK_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tiltwall",
         description="Exact wall-and-chamber computations for tilt stability",
     )
-    parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -323,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export", action="store_true")
     p.set_defaults(func=cmd_catalog)
 
-    for sp in sub.choices.values():
-        sp._negative_number_matcher = _NEGATIVE_VALUE
-
     p = sub.add_parser("check", help="run every catalog regression and invariant")
     add_common(p)
     p.set_defaults(func=cmd_check)
+
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_VALUE
 
     return parser
 

@@ -146,11 +146,6 @@ class QuadraticIrrational:
     def is_rational(self) -> bool:
         return self.d == 0
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def _enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         """Dyadic enclosure [lo, hi] of the value, width shrinking with bits."""
         if self.d == 0:

@@ -381,13 +381,15 @@ def assemble_chd1(tree: HNTree) -> PiecewiseQuadratic:
 
 
 def trivial_chd(v: ChernClass) -> PiecewiseQuadratic:
-    """Two-piece function {0 left of -p_v; ch2^{-x}(v) right of it}."""
+    """Two-piece function {0 left of -p_v; ch2^{-x}(v) right of it}.
+
+    This is chd0 of the one-leaf tree: v stays semistable down to a = 0.
+    """
     if discriminant(v) < 0:
         raise ValueError("negative discriminant")
     if v.v0 < 0 or (v.v0 == 0 and v.v1 <= 0):
         raise ValueError("trivial function requires a sheaf-type class")
-    x0 = -p_intercept(v).value
-    return PiecewiseQuadratic([x0], [QuadPoly(0), chd_polynomial(v)])
+    return assemble_chd0(TreeLeaf(v))
 
 
 @dataclass
@@ -452,8 +454,3 @@ def classify_breakpoints(tree: HNTree) -> list[BreakpointReport]:
             )
         )
     return reports
-
-
-def serre_dual_function(f: PiecewiseQuadratic) -> PiecewiseQuadratic:
-    """Reflection x -> f(-x), matching the dual-class symmetry of the theory."""
-    return f.reflect()

@@ -164,12 +164,6 @@ def mu_slope(v: ChernClass) -> Slope:
     return Fraction(v.v1, v.v0)
 
 
-def is_kernel_class(v: ChernClass, beta) -> bool:
-    """Whether both twisted components t1 and t2 vanish at beta (forces disc 0)."""
-    t = twist(v, beta)
-    return t.t1 == 0 and t.t2 == 0
-
-
 def chd_polynomial(v: ChernClass) -> QuadPoly:
     """The Chern degree polynomial x -> v2 + v1*x + (v0/2)*x^2 (= ch2^{-x})."""
     return QuadPoly(v.v2, v.v1, Fraction(v.v0, 2))
@@ -203,16 +197,6 @@ def p_intercept(v: ChernClass) -> PIntercept:
     if lo > hi:
         lo, hi = hi, lo
     return PIntercept(lo if v.v0 > 0 else hi, False)
-
-
-def class_dual(v: ChernClass) -> ChernClass:
-    """Class of the shifted derived dual: (v0, -v1, v2)."""
-    return ChernClass(v.v0, -v.v1, v.v2)
-
-
-def class_shift(v: ChernClass) -> ChernClass:
-    """Class of the shift [1]: all components negated."""
-    return ChernClass(-v.v0, -v.v1, -v.v2)
 
 
 def class_add(v: ChernClass, w: ChernClass) -> ChernClass:

@@ -16,7 +16,6 @@ from tiltwall.hntree import (
     assemble_chd1,
     classify_breakpoints,
     hn_factors_at,
-    serre_dual_function,
     tree_leaves,
     trivial_chd,
 )
@@ -108,11 +107,7 @@ def test_criterion_4_function_regressions():
         scenario = catalog.load_scenario(sid)
         if scenario.expected_chd0 is None:
             continue
-        fn = (
-            trivial_chd(scenario.cls)
-            if scenario.trivial
-            else assemble_chd0(scenario.tree)
-        )
+        fn = assemble_chd0(scenario.tree)
         assert fn == scenario.expected_chd0, sid
         assert fn.check_continuity(), sid
         done += 1
@@ -190,11 +185,11 @@ def test_criterion_6_identity_suites():
     for scenario in map(catalog.load_scenario, catalog.list_scenarios()):
         if scenario.expected_chd0 is not None:
             fn = scenario.expected_chd0
-            assert serre_dual_function(serre_dual_function(fn)) == fn
+            assert fn.reflect().reflect() == fn
     ox = catalog.load_scenario("ppas-structure-sheaf").expected_chd0
-    dual = serre_dual_function(ox)
+    dual = ox.reflect()
     assert dual.pieces == [QuadPoly(0, 0, 1), QuadPoly(0)]
-    assert serre_dual_function(dual) == ox
+    assert dual.reflect() == ox
 
     # pairwise nesting of candidate walls for a wall-rich class
     cands = enumerate_candidates(ChernClass(2, 0, -25), F(-6), F(1, 100), F(30))

@@ -3,17 +3,8 @@ from fractions import Fraction
 import pytest
 
 from tiltwall import catalog
-from tiltwall.hntree import (
-    assemble_chd0,
-    classify_breakpoints,
-    tree_from_json,
-    tree_leaves,
-    tree_to_json,
-    trivial_chd,
-    validate_tree,
-)
-from tiltwall.lattice import discriminant
-from tiltwall.walls import enumerate_candidates, slope_crossing_oracle, wall_a_at
+from tiltwall.hntree import tree_from_json, tree_leaves, tree_to_json, trivial_chd
+from tiltwall.walls import enumerate_candidates, slope_crossing_oracle
 
 F = Fraction
 
@@ -43,35 +34,48 @@ def test_unknown_id():
         catalog.load_scenario("nope")
 
 
+@pytest.fixture(scope="module")
+def matrix():
+    return catalog.regression_checks()
+
+
+def _outcomes(matrix, sid, kind=""):
+    """Outcomes of the matrix checks named "<sid>: <kind>...", in order."""
+    return [ok for name, ok in matrix if name.startswith(f"{sid}: {kind}")]
+
+
+def test_regression_matrix_passes(matrix):
+    assert len(matrix) == 55
+    assert [name for name, ok in matrix if not ok] == []
+
+
 @pytest.mark.parametrize("sid", EXPECTED_IDS)
-def test_scenario_consistency(sid):
+def test_scenario_consistency(sid, matrix):
     scenario = catalog.load_scenario(sid)
     scenario.config.check_class(scenario.cls)
+    assert all(_outcomes(matrix, sid))
     if scenario.tree is None:
         assert scenario.expected_walls
         return
     assert scenario.tree.cls == scenario.cls
+    for leaf in tree_leaves(scenario.tree):
+        scenario.config.check_class(leaf.cls)
+    assert _outcomes(matrix, sid, "chd0 regression") == [True]
     if scenario.trivial:
-        fn = trivial_chd(scenario.cls)
-    else:
-        assert validate_tree(scenario.tree)
-        fn = assemble_chd0(scenario.tree)
-        for leaf in tree_leaves(scenario.tree):
-            scenario.config.check_class(leaf.cls)
-            assert discriminant(leaf.cls) >= 0
-    assert fn == scenario.expected_chd0
-    assert fn.check_continuity() and fn.check_nonnegative()
+        # the class meets trivial_chd's precondition; its function is the leaf's
+        assert trivial_chd(scenario.cls) == scenario.expected_chd0
 
 
 @pytest.mark.parametrize("sid", EXPECTED_IDS)
-def test_expected_jumps(sid):
-    scenario = catalog.load_scenario(sid)
-    if not scenario.expected_jumps:
-        return
-    reports = {r.x: r for r in classify_breakpoints(scenario.tree)}
-    assert set(reports) == set(scenario.expected_jumps)
-    for x, jump in scenario.expected_jumps.items():
-        assert reports[x].derivative_jump == jump
+def test_expected_jumps(sid, matrix):
+    expected = [True] if catalog.load_scenario(sid).expected_jumps else []
+    assert _outcomes(matrix, sid, "derivative jumps") == expected
+
+
+@pytest.mark.parametrize("sid", EXPECTED_IDS)
+def test_expected_walls_found_and_confirmed(sid, matrix):
+    walls = catalog.load_scenario(sid).expected_walls
+    assert _outcomes(matrix, sid, "wall ") == [True] * len(walls)
 
 
 @pytest.mark.parametrize("sid", EXPECTED_IDS)
@@ -99,20 +103,6 @@ def test_every_internal_wall_is_enumerable(sid):
         assert match, f"{sid}: wall {wall} of {node.cls} not enumerated"
         assert match[0].cross_a == cross
         assert slope_crossing_oracle(node.cls, match[0].witness, wall, F(1, 64))
-
-
-@pytest.mark.parametrize("sid", EXPECTED_IDS)
-def test_expected_walls_found_and_confirmed(sid):
-    scenario = catalog.load_scenario(sid)
-    for wall in scenario.expected_walls:
-        beta = F(-2)
-        cands = enumerate_candidates(
-            scenario.cls, beta, F(1, 100), F(10), scenario.config
-        )
-        match = [c for c in cands if c.wall == wall]
-        assert match
-        assert match[0].cross_a == wall_a_at(wall, beta)
-        assert slope_crossing_oracle(scenario.cls, match[0].witness, wall, F(1, 64))
 
 
 @pytest.mark.parametrize("sid", EXPECTED_IDS)

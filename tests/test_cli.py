@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tiltwall.cli import main
+from tiltwall.exactnum import QuadraticIrrational as QI
 from tiltwall.hntree import tree_to_json
 from tiltwall import catalog
 
@@ -101,6 +102,15 @@ class TestWallsCommand:
                                     "v2_denominator": 2, "minimal_discriminant": 4}))
         args = ("walls", "--class", "2,0,-5", "--beta", "-2", "--amin", "1/100")
         assert run(capsys, *args, "--config", str(path)) == run(capsys, *args)
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (("walls", "--beta", "1", "--amin", "1/100"), "--class", "-2,4,-3"),
+        (("hn", "--scenario", "ppas-ideal-4-collinear", "--a", "1/50"), "--beta", "-5/2"),
+    ])
+    def test_negative_value_as_separate_token(self, capsys, argv, option, value):
+        spaced = run(capsys, *argv, option, value)
+        assert spaced[0] == 0
+        assert spaced == run(capsys, *argv, f"{option}={value}")
 
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -234,4 +244,14 @@ class TestCheckCommand:
         assert code == 0
         assert "FAIL" not in out
         lines = [l for l in out.splitlines() if "PASS" in l]
-        assert len(lines) >= 40
+        assert len(lines) == 55
+
+    def test_failure_exits_1(self, capsys, monkeypatch):
+        # a subset of the true jumps: the whole map must match, not a subset
+        scenario = catalog.load_scenario("ppas-ideal-2")
+        monkeypatch.setattr(scenario, "expected_jumps", {QI(1): QI(0)})
+        code, out, _ = run(capsys, "check")
+        assert code == 1
+        failed = [l for l in out.splitlines() if l.endswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("ppas-ideal-2: derivative jumps ")
+        assert out.endswith("\n54/55 checks passed\n")

@@ -13,7 +13,6 @@ from tiltwall.hntree import (
     assemble_chd1,
     classify_breakpoints,
     hn_factors_at,
-    serre_dual_function,
     tree_from_json,
     tree_leaves,
     tree_to_json,
@@ -289,14 +288,14 @@ class TestBreakpointReports:
 class TestSerreDual:
     def test_structure_sheaf_pair(self):
         fn = catalog.load_scenario("ppas-structure-sheaf").expected_chd0
-        dual = serre_dual_function(fn)
+        dual = fn.reflect()
         assert dual.breakpoints == [QI(0)]
         assert dual.pieces == [QuadPoly(0, 0, 1), QuadPoly(0)]
-        assert serre_dual_function(dual) == fn
+        assert dual.reflect() == fn
 
     def test_involution_on_catalog(self):
         for sid in catalog.list_scenarios():
             fn = catalog.load_scenario(sid).expected_chd0
             if fn is None:
                 continue
-            assert serre_dual_function(serre_dual_function(fn)) == fn
+            assert fn.reflect().reflect() == fn

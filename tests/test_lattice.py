@@ -12,11 +12,8 @@ from tiltwall.lattice import (
     central_charge,
     chd_polynomial,
     class_add,
-    class_dual,
-    class_shift,
     class_sub,
     discriminant,
-    is_kernel_class,
     line_bundle_class,
     mu_slope,
     p_intercept,
@@ -79,9 +76,7 @@ class TestChernClass:
 
     def test_involutions(self):
         v = ChernClass(2, -4, F(7, 2))
-        assert class_dual(class_dual(v)) == v
-        assert class_shift(class_shift(v)) == v
-        assert class_add(v, class_shift(v)) == ChernClass(0, 0, 0)
+        assert class_add(v, ChernClass(-2, 4, F(-7, 2))) == ChernClass(0, 0, 0)
         assert class_sub(v, v) == ChernClass(0, 0, 0)
 
 
@@ -124,11 +119,6 @@ class TestSlopes:
     def test_mu_slope(self):
         assert mu_slope(ChernClass(2, 4, 0)) == 2
         assert mu_slope(ChernClass(0, 2, -5)) == INF
-
-    def test_kernel_class(self):
-        assert is_kernel_class(ChernClass(2, -2, 1), F(-1))
-        assert not is_kernel_class(ChernClass(2, -2, 1), F(0))
-        assert not is_kernel_class(ChernClass(2, 0, -2), F(0))
 
     @given(classes(), betas, st.fractions(min_value=0, max_value=10, max_denominator=16))
     def test_slope_sign_matches_charge(self, v, beta, a):
