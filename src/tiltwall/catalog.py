@@ -23,8 +23,8 @@ from .hntree import (
     PiecewiseQuadratic,
     TreeLeaf,
     TreeNode,
+    _breakpoint_reports,
     assemble_chd0,
-    classify_breakpoints,
     validate_tree,
 )
 from .lattice import ChernClass, SurfaceConfig, discriminant, line_bundle_class, mu_slope
@@ -315,13 +315,13 @@ def _scenario_checks(s: Scenario) -> list[tuple[str, bool]]:
     if s.tree is not None:
         if not s.trivial:
             results.append((f"{s.id}: tree valid", bool(validate_tree(s.tree))))
+        fn = assemble_chd0(s.tree)
         if s.expected_chd0 is not None:
-            fn = assemble_chd0(s.tree)
             results.append((f"{s.id}: chd0 regression", fn == s.expected_chd0))
             results.append((f"{s.id}: continuity", fn.check_continuity()))
             results.append((f"{s.id}: nonnegative", fn.check_nonnegative()))
         if s.expected_jumps:
-            jumps = {r.x: r.derivative_jump for r in classify_breakpoints(s.tree)}
+            jumps = {r.x: r.derivative_jump for r in _breakpoint_reports(s.tree, fn)}
             results.append((f"{s.id}: derivative jumps", jumps == s.expected_jumps))
     if s.expected_walls:
         beta = F(-2)

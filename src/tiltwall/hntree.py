@@ -413,7 +413,11 @@ def classify_breakpoints(tree: HNTree) -> list[BreakpointReport]:
     with a discriminant-0 one.  The remaining classification requires
     geometric input and is never reported from numerical data alone.
     """
-    chd0 = assemble_chd0(tree)
+    return _breakpoint_reports(tree, assemble_chd0(tree))
+
+
+def _breakpoint_reports(tree: HNTree, chd0: PiecewiseQuadratic) -> list[BreakpointReport]:
+    """``classify_breakpoints`` given chd0 = ``assemble_chd0(tree)``."""
     leaves = tree_leaves(tree)
     by_x: dict[QI, list[TreeLeaf]] = {}
     for leaf in leaves:

@@ -11,8 +11,12 @@ bound on its share of ch1^beta*(v), and the two shares add up to it.  That
 bounds |w0| + |v0 - w0|, hence the rank window, by an exact test at a_min
 (``_w0_bound``, whose docstring has the proof): the window stays a few ranks
 wide as a_min shrinks, where Delta(w) >= 0 alone gave one that grows like
-1/a_min.  Inside the window, w1 runs over 0 < ch1^beta*(w) <= ch1^beta*(v)
-and w2 over the values allowed by 0 <= disc(w) <= disc(v).
+1/a_min.  Inside the window, w1 runs over 0 < ch1^beta*(w) <= ch1^beta*(v).
+For fixed w0 and w1, the height at which the wall of w crosses beta = beta*
+is an affine function of w2, and so are disc(w) and disc(v - w) at that
+height; w2 therefore runs only over the image of the heights in
+[a_min, a_max] where both discriminants are nonnegative and sum to at most
+disc(v) (``_candidate_pairs_for_w0``, whose docstring has the proof).
 """
 
 from __future__ import annotations
@@ -241,43 +245,91 @@ def _candidate_pairs_for_w0(
     w0: int,
     strict: bool,
 ) -> list[tuple[Semicircle, ChernClass, Fraction]]:
+    """Kept candidates of rank w0, with w2 run over a crossing-height window.
+
+    Every candidate of rank w0 that ``_screen_candidate`` keeps lies in the
+    window; values outside it never reach the screen.
+
+    Proof.  At b = beta* write t_v = ch1^b(v) > 0, c = ch2^b(v), and for
+    w = (w0, w1, w2) let t = w1 - b*w0, s = t_v - t, q = v - w, q0 = v0 - w0
+    and x = ch2^b(w) = w2 - b*w1 + b^2*w0/2, so w2 = x + b*w1 - b^2*w0/2.
+    The w1 loop visits exactly 0 < t <= t_v.  As t and t_v are positive,
+    the tilt slopes of v and w agree at (b, a) iff
+
+        E = (c - a*v0)*t - (x - a*w0)*t_v = 0,  i.e.  x = t*c/t_v + a*g,
+
+    with g = (w0*t_v - t*v0)/t_v.  Written at a general beta in place of b,
+    E = -(d01/2)*((beta - center)^2 + 2a - radius_sq) with d01, center and
+    radius_sq as in ``wall_between``, so a semicircular wall is exactly the
+    zero set of E, and d01 = v0*w1 - v1*w0 = -g*t_v.
+
+    g = 0: then d01 = 0 and ``wall_between`` gives a vertical wall or None,
+    never a semicircle, so the screen rejects every w2 and the w1 is
+    skipped.  This covers w0 = v0 = 0, where g vanishes for every w1; for
+    v0 = 0 and w0 != 0 we have g = w0 != 0, and for w0 = 0 and v0 != 0
+    g = -t*v0/t_v != 0 as t > 0, so no other case needs its own branch.
+
+    g != 0: a kept candidate has a semicircular wall whose point above b,
+    (b, cross_a) with a_min <= cross_a <= a_max, lies on E = 0, so
+    x = t*c/t_v + cross_a*g.  Substituting x into the twist-invariant
+    discriminants disc(w) = t^2 - 2*w0*x and disc(q) = s^2 - 2*q0*(c - x):
+
+        disc(w) = t^2 - 2*w0*t*c/t_v - 2*a*w0*g,
+        disc(q) = s^2 - 2*q0*s*c/t_v + 2*a*q0*g,
+
+    at a = cross_a, both affine in a, and so is disc(v) - disc(w) - disc(q).
+    The screen requires disc(w) >= 0, disc(q) >= 0 and disc(w) + disc(q)
+    <= disc(v) (< when strict; the window keeps <=, a superset).  Each is
+    alpha + sigma*a >= 0: a >= -alpha/sigma if sigma > 0, a <= -alpha/sigma
+    if sigma < 0, and for sigma = 0 all a or none as alpha >= 0 or not.  So
+    cross_a lies in the rational interval I = [a_lo, a_hi] cut from
+    [a_min, a_max] by the three half-lines.  The map a -> x is affine with
+    slope g: increasing for g > 0 and decreasing for g < 0, so in both
+    cases x(I) is the interval between x(a_lo) and x(a_hi), and w2 = k/den
+    lies between their translates e1 <= e2, i.e.
+    ceil(den*e1) <= k <= floor(den*e2).
+    Only exact rational and integer arithmetic is used.
+    """
     out = []
-    t_v = v.v1 - beta_star * v.v0
+    tv = twist(v, beta_star)
+    t_v, c = tv.t1, tv.t2
+    slope_v = c / t_v
     disc_v = discriminant(v)
     den = cfg.v2_denominator
+    q0 = v.v0 - w0
     # w1 runs over multiples of v1_step with 0 < t = w1 - beta*w0 <= t_v
+    step = cfg.v1_step
     lo = beta_star * w0
-    hi = lo + t_v
-    w1_start = math.floor(lo / cfg.v1_step) * cfg.v1_step
-    w1 = w1_start
-    while w1 <= hi:
-        if w1 > lo:
-            # finite w2 window from the discriminant constraints
-            if w0 != 0:
-                # 0 <= w1^2 - 2*w0*w2 <= disc_v
-                b1 = Fraction(w1 * w1, 2 * w0)
-                b2 = Fraction(w1 * w1) - disc_v
-                b2 = b2 / (2 * w0)
-                w2_lo, w2_hi = (b2, b1) if w0 > 0 else (b1, b2)
-            elif v.v0 != 0:
-                # 0 <= disc(v - w) <= disc_v with w0 = 0
-                u1 = v.v1 - w1
-                c1 = (Fraction(u1 * u1) - 2 * v.v0 * v.v2) / (-2 * v.v0)
-                c2 = (Fraction(u1 * u1) - disc_v - 2 * v.v0 * v.v2) / (-2 * v.v0)
-                w2_lo, w2_hi = (min(c1, c2), max(c1, c2))
-            else:
-                w1 += cfg.v1_step
-                continue  # w0 = v0 = 0 yields no wall
-            k = math.ceil(w2_lo * den)
-            while Fraction(k, den) <= w2_hi:
-                w = ChernClass(w0, w1, Fraction(k, den))
-                k += 1
-                cand = _screen_candidate(
-                    v, w, beta_star, a_min, a_max, disc_v, cfg, strict
-                )
-                if cand is not None:
-                    out.append(cand)
-        w1 += cfg.v1_step
+    first = (math.floor(lo / step) + 1) * step
+    for w1 in range(first, math.floor(lo + t_v) + 1, step):
+        t = w1 - lo
+        g = w0 - t * v.v0 / t_v
+        if g == 0:
+            continue
+        s = t_v - t
+        alpha_w = t * (t - 2 * w0 * slope_v)
+        alpha_q = s * (s - 2 * q0 * slope_v)
+        a_lo, a_hi = a_min, a_max
+        for alpha, sigma in (
+            (alpha_w, -2 * w0 * g),
+            (alpha_q, 2 * q0 * g),
+            (disc_v - alpha_w - alpha_q, 2 * (w0 - q0) * g),
+        ):
+            if sigma > 0:
+                a_lo = max(a_lo, -alpha / sigma)
+            elif sigma < 0:
+                a_hi = min(a_hi, -alpha / sigma)
+            elif alpha < 0:
+                a_hi = a_lo - 1  # this half-line is empty
+        if a_lo > a_hi:
+            continue
+        shift = t * slope_v + beta_star * (w1 - lo / 2)
+        e1, e2 = sorted((shift + a_lo * g, shift + a_hi * g))
+        for k in range(math.ceil(e1 * den), math.floor(e2 * den) + 1):
+            w = ChernClass(w0, w1, Fraction(k, den))
+            cand = _screen_candidate(v, w, beta_star, a_min, a_max, disc_v, cfg, strict)
+            if cand is not None:
+                out.append(cand)
     return out
 
 

@@ -220,6 +220,11 @@ class TestHnCommand:
         )
         assert code == 2 and "wall" in err
 
+    def test_unknown_scenario_exits_2(self, capsys):
+        code, _, err = run(capsys, "hn", "--scenario", "nope", "--a", "1", "--beta", "0")
+        assert code == 2
+        assert err.splitlines() == ["error: unknown scenario: 'nope'"]
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):
@@ -235,7 +240,8 @@ class TestCatalogCommand:
 
     def test_unknown_id_exits_2(self, capsys):
         code, _, err = run(capsys, "catalog", "--id", "nope")
-        assert code == 2 and "unknown" in err
+        assert code == 2
+        assert err.splitlines() == ["error: unknown scenario: 'nope'"]
 
 
 class TestCheckCommand:

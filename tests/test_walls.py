@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from tiltwall import catalog
+from tiltwall import catalog, walls
 from tiltwall.lattice import (
     ChernClass,
     SurfaceConfig,
@@ -299,6 +299,82 @@ class TestRankWindow:
             v = line_bundle_class(k, PPAS)
             args = (v, mu_slope(v) - 2, F(1, 100), F(10))
             assert enumerate_candidates(*args) == brute_force_candidates(*args) == []
+
+
+@st.composite
+def narrow_segments(draw):
+    """(cfg, v, beta*, a_min) for a query whose segment has length 0 or 1/50.
+
+    v has walls on the query line, and a_min is often the exact crossing
+    height of one, so a segment end sits on the crossing-height window's
+    boundary.
+    """
+    cfg, v, beta, _, _, _ = draw(small_queries())
+    heights = [c.cross_a for c in enumerate_candidates(v, beta, F(1, 50), F(10), cfg)]
+    assume(heights)
+    a_min = draw(
+        st.sampled_from(heights)
+        | st.integers(10, 50).map(lambda n: F(1, n))
+        | st.builds(F, st.integers(1, 24), st.integers(1, 8))
+    )
+    return cfg, v, beta, a_min
+
+
+class TestCrossingHeightWindow:
+    """The w2 window from the crossing height against the brute force."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("length", [F(0), F(1, 50)])
+    @given(query=narrow_segments())
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    def test_narrow_segments_match_brute_force(self, query, length, strict):
+        cfg, v, beta, a_min = query
+        args = (v, beta, a_min, a_min + length, cfg)
+        assert _outputs(enumerate_candidates(*args, strict=strict)) == _outputs(
+            brute_force_candidates(*args, strict=strict)
+        )
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize(
+        "cfg, v, beta, a_max",
+        [
+            # g = 0 pairs: w = (2, 0, w2) has the (rank, degree) of v/2
+            (PPAS, ChernClass(4, 0, -10), F(-2), F(4)),
+            (PPAS, ChernClass(4, 0, -6), F(-1), None),
+            # w0 = 0 with v0 != 0: torsion subs (0, 2, w2)
+            (PPAS, ChernClass(4, 0, -3), F(-1), None),
+            # v0 = 0
+            (PPAS, ChernClass(0, 6, -8), F(-2), None),
+            (ABELIAN, ChernClass(0, 8, 0), F(0), None),
+            # v0 < 0
+            (PPAS, ChernClass(-2, 4, 6), F(1), None),
+            (PPAS, ChernClass(-2, 4, F(21, 2)), F(1), F(5)),
+            (PPAS, ChernClass(-4, 4, 6), F(0), F(5)),
+        ],
+    )
+    def test_edge_cases_match_brute_force(self, cfg, v, beta, a_max, strict):
+        args = (v, beta, F(1, 20), a_max, cfg)
+        fast = enumerate_candidates(*args, strict=strict)
+        assert fast
+        assert _outputs(fast) == _outputs(brute_force_candidates(*args, strict=strict))
+
+    @pytest.mark.parametrize("a_min", [F(1, 100), F(1, 1000)])
+    def test_probe_screening_count(self, monkeypatch, a_min):
+        screened = 0
+        screen = walls._screen_candidate
+
+        def counted(*args):
+            nonlocal screened
+            screened += 1
+            return screen(*args)
+
+        monkeypatch.setattr(walls, "_screen_candidate", counted)
+        cands = enumerate_candidates(ChernClass(2, 0, -25), F(-6), a_min, F(30))
+        assert len(cands) == 22
+        assert sum(len(c.witnesses) for c in cands) == 28
+        assert screened <= 108
 
 
 class TestOracle:
