@@ -36,7 +36,6 @@ from .walls import (
     VerticalWall,
     enumerate_candidates,
     nesting,
-    slope_crossing_oracle,
     wall_between,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "parse_quadratic_irrational",
     "quad_eval",
     "quad_roots",
-    "slope_crossing_oracle",
     "tilt_slope",
     "tree_from_json",
     "tree_to_json",

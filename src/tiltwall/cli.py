@@ -18,6 +18,7 @@ _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 from . import catalog
 from .exactnum import format_rational, parse_rational
 from .hntree import (
+    InvalidTreeError,
     assemble_chd0,
     assemble_chd1,
     hn_factors_at,
@@ -33,10 +34,10 @@ USAGE_ERROR, CHECK_FAILURE = 2, 1
 
 
 def _load_config(args) -> SurfaceConfig:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             return SurfaceConfig.from_json(json.load(fh))
-    return SurfaceConfig.preset(getattr(args, "preset", None) or "ppas")
+    return SurfaceConfig.preset(args.preset)
 
 
 def _approx(value) -> str:
@@ -190,11 +191,10 @@ def cmd_catalog(args) -> int:
             }
             _emit(json.dumps(data, indent=2) + "\n", args.out)
         else:
-            print(f"{scenario.id}: class {scenario.cls} on {scenario.config.name}")
-            print(f"  {scenario.notes}")
+            summary = f"{scenario.id}: class {scenario.cls} on {scenario.config.name}\n"
+            _emit(summary + f"  {scenario.notes}\n", args.out)
         return 0
-    for sid in catalog.list_scenarios():
-        print(sid)
+    _emit("".join(f"{sid}\n" for sid in catalog.list_scenarios()), args.out)
     return 0
 
 
@@ -215,24 +215,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--preset", choices=["ppas", "abelian-(1,2)"], default=None)
-        p.add_argument("--config", help="path to a surface config JSON file")
+    def add_out(p):
         p.add_argument("--out", help="write output to a file instead of stdout")
 
     p = sub.add_parser("walls", help="enumerate candidate walls crossing a segment")
-    add_common(p)
+    p.add_argument("--preset", choices=["ppas", "abelian-(1,2)"], default="ppas")
+    p.add_argument("--config", help="path to a surface config JSON file")
+    add_out(p)
     p.add_argument("--class", dest="cls", required=True, help='class triple, e.g. "2,0,-5"')
     p.add_argument("--beta", required=True, help="rational beta of the query line")
     p.add_argument("--amin", required=True, help="lower end of the segment (a = alpha^2/2)")
-    p.add_argument("--amax", default=None, help="upper end; default is a conservative bound")
+    p.add_argument("--amax", default=None,
+                   help="upper end; default: none (the search is finite without one)")
     p.add_argument("--strict", action="store_true", help="strict discriminant inequality")
     p.add_argument("--approx", action="store_true", help="add 6-digit decimal column")
     p.add_argument("--format", choices=["table", "json", "csv", "svg"], default="table")
     p.set_defaults(func=cmd_walls)
 
     p = sub.add_parser("chd", help="assemble a Chern degree function")
-    add_common(p)
+    add_out(p)
     p.add_argument("--scenario", help="catalog scenario id")
     p.add_argument("--tree", help="path to a tree JSON file")
     p.add_argument("--k", type=int, choices=[0, 1], default=0)
@@ -241,13 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chd)
 
     p = sub.add_parser("validate", help="validate a destabilization tree")
-    add_common(p)
     p.add_argument("--scenario")
     p.add_argument("--tree")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("hn", help="HN factor classes at a point (a, beta)")
-    add_common(p)
+    add_out(p)
     p.add_argument("--scenario")
     p.add_argument("--tree")
     p.add_argument("--a", required=True)
@@ -255,13 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hn)
 
     p = sub.add_parser("catalog", help="list or export built-in scenarios")
-    add_common(p)
+    add_out(p)
     p.add_argument("--id")
     p.add_argument("--export", action="store_true")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("check", help="run every catalog regression and invariant")
-    add_common(p)
     p.set_defaults(func=cmd_check)
 
     for p in (parser, *sub.choices.values()):
@@ -279,6 +278,9 @@ def main(argv=None) -> int:
         parser.error(f"{args.command}: provide --scenario or --tree")
     try:
         return args.func(args)
+    except InvalidTreeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CHECK_FAILURE
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

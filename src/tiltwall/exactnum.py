@@ -384,11 +384,9 @@ def quad_roots(p: QuadPoly) -> list[Root]:
     disc = p.c1 * p.c1 - 4 * p.c0 * p.c2
     if disc < 0:
         return []
-    center = QuadraticIrrational(-p.c1 / (2 * p.c2))
+    inv = 1 / (2 * p.c2)
+    center = QuadraticIrrational(-p.c1 * inv)
     if disc == 0:
         return [Root(center, 2)]
-    half_width = QuadraticIrrational.sqrt(disc) * Fraction(1, 2) * (1 / p.c2)
-    r1, r2 = center - half_width, center + half_width
-    if r1 > r2:
-        r1, r2 = r2, r1
-    return [Root(r1, 1), Root(r2, 1)]
+    half_width = QuadraticIrrational.sqrt(disc * inv * inv)  # > 0: roots come out sorted
+    return [Root(center - half_width, 1), Root(center + half_width, 1)]

@@ -328,10 +328,14 @@ def _quad_nonneg_on(p: QuadPoly, lo: Optional[QI], hi: Optional[QI]) -> bool:
     return p.c0 >= 0
 
 
+class InvalidTreeError(ValueError):
+    """A tree fails ``validate_tree``; the message lists every violation."""
+
+
 def _require_valid(tree: HNTree) -> None:
     report = validate_tree(tree)
     if not report:
-        raise ValueError("invalid tree: " + "; ".join(report.violations))
+        raise InvalidTreeError("invalid tree: " + "; ".join(report.violations))
 
 
 def assemble_chd0(tree: HNTree) -> PiecewiseQuadratic:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .exactnum import QuadPoly, QuadraticIrrational, format_rational, parse_rational
+from .exactnum import QuadPoly, QuadraticIrrational, format_rational, parse_rational, quad_roots
 
 INF = math.inf  # +infinity slope marker
 
@@ -181,22 +181,14 @@ def p_intercept(v: ChernClass) -> PIntercept:
     larger root, for v0 = 0 the single value v2/v1.  The flag marks double
     roots (disc = 0 with v0 != 0).
     """
-    if v.v0 == 0:
-        if v.v1 == 0:
-            raise ValueError("no hyperbola: v0 = v1 = 0")
-        return PIntercept(QuadraticIrrational(v.v2 / v.v1), False)
-    disc = discriminant(v)
-    if disc < 0:
+    if v.v0 == 0 and v.v1 == 0:
+        raise ValueError("no hyperbola: v0 = v1 = 0")
+    # ch2^beta(v) = v2 - v1*beta + (v0/2)*beta^2, whose discriminant is disc(v)
+    roots = quad_roots(QuadPoly(v.v2, -v.v1, Fraction(v.v0, 2)))
+    if not roots:
         raise ValueError("no real intercept: negative discriminant")
-    # ch2^beta(v) = (v0/2) beta^2 - v1 beta + v2; roots (v1 +- sqrt(disc)) / v0
-    if disc == 0:
-        return PIntercept(QuadraticIrrational(Fraction(v.v1, v.v0)), True)
-    root = QuadraticIrrational.sqrt(disc) * Fraction(1, v.v0)
-    base = QuadraticIrrational(Fraction(v.v1, v.v0))
-    lo, hi = base - root, base + root
-    if lo > hi:
-        lo, hi = hi, lo
-    return PIntercept(lo if v.v0 > 0 else hi, False)
+    value, multiplicity = roots[0] if v.v0 > 0 else roots[-1]
+    return PIntercept(value, multiplicity == 2)
 
 
 def class_add(v: ChernClass, w: ChernClass) -> ChernClass:

@@ -121,14 +121,13 @@ def _hyperbola_polyline(v: ChernClass, fr: _Frame) -> str:
     )
 
 
-def render_function_svg(fn: PiecewiseQuadratic, x_lo=None, x_hi=None) -> str:
+def render_function_svg(fn: PiecewiseQuadratic) -> str:
     """Graph of a piecewise quadratic with breakpoint markers."""
     if fn.breakpoints:
         b_lo, b_hi = float(fn.breakpoints[0]), float(fn.breakpoints[-1])
     else:
         b_lo = b_hi = 0.0
-    x_lo = float(x_lo) if x_lo is not None else b_lo - 1.0
-    x_hi = float(x_hi) if x_hi is not None else b_hi + 1.0
+    x_lo, x_hi = b_lo - 1.0, b_hi + 1.0
     steps = 400
     values = []
     for i in range(steps + 1):

@@ -3,20 +3,22 @@
 Walls are loci of equal tilt slope for two classes: semicircles centered on
 the beta-axis (stored by rational center and radius squared) or vertical
 lines.  Enumeration searches the lattice for subobject classes w whose wall
-crosses a vertical segment {beta = beta*, a in [a_min, a_max]}.
+crosses a vertical segment {beta = beta*, a in [a_min, a_max]}, or the
+half-line a >= a_min when no a_max is given.
 
-The search is finite and complete.  At the crossing point both the sub w and
-the quotient v - w have nonnegative discriminant; each condition puts a lower
-bound on its share of ch1^beta*(v), and the two shares add up to it.  That
-bounds |w0| + |v0 - w0|, hence the rank window, by an exact test at a_min
-(``_w0_bound``, whose docstring has the proof): the window stays a few ranks
-wide as a_min shrinks, where Delta(w) >= 0 alone gave one that grows like
-1/a_min.  Inside the window, w1 runs over 0 < ch1^beta*(w) <= ch1^beta*(v).
-For fixed w0 and w1, the height at which the wall of w crosses beta = beta*
-is an affine function of w2, and so are disc(w) and disc(v - w) at that
-height; w2 therefore runs only over the image of the heights in
-[a_min, a_max] where both discriminants are nonnegative and sum to at most
-disc(v) (``_candidate_pairs_for_w0``, whose docstring has the proof).
+The search is finite and complete, and it needs no top.  At the crossing
+point both the sub w and the quotient v - w have nonnegative discriminant;
+each condition puts a lower bound on its share of ch1^beta*(v), and the two
+shares add up to it.  That bounds |w0| + |v0 - w0|, hence the rank window,
+by an exact test at a_min (``_w0_bound``, whose docstring has the proof):
+the window stays a few ranks wide as a_min shrinks, where Delta(w) >= 0
+alone gave one that grows like 1/a_min.  Inside the window, w1 runs over
+0 < ch1^beta*(w) <= ch1^beta*(v).  For fixed w0 and w1, the height at which
+the wall of w crosses beta = beta* is an affine function of w2, and so are
+disc(w) and disc(v - w) at that height; w2 therefore runs only over the
+image of the heights where both discriminants are nonnegative and sum to at
+most disc(v), which is a bounded interval even without a_max
+(``_candidate_pairs_for_w0``, whose docstring has the proof).
 """
 
 from __future__ import annotations
@@ -160,27 +162,7 @@ def _normalized_witness(v: ChernClass, w: ChernClass) -> ChernClass:
     return min(w, u, key=lambda c: (c.v0, c.v1, c.v2))
 
 
-def _frac_sqrt_ceil(q: Fraction) -> int:
-    """Smallest integer n with n >= sqrt(q), for q >= 0."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    n = math.isqrt(q.numerator // q.denominator)
-    while n * n < q:
-        n += 1
-    return n
-
-
-def default_a_max(v: ChernClass, a_min: Fraction) -> Fraction:
-    """Conservative default top of the searched segment.
-
-    There is no closed-form largest wall below the Gieseker chamber, so the
-    default covers up to a = max(1, disc(v)); callers needing taller segments
-    must pass a_max explicitly.
-    """
-    return max(Fraction(1), discriminant(v)) + a_min
-
-
-def _w0_bound(v: ChernClass, beta_star: Fraction, a_min: Fraction, a_max: Fraction) -> int:
+def _w0_bound(v: ChernClass, beta_star: Fraction, a_min: Fraction) -> int:
     """Largest |w0| of any candidate crossing the segment (exact, complete).
 
     The window is [min(0, v0) - d, max(0, v0) + d] with d = bound - |v0|;
@@ -190,7 +172,7 @@ def _w0_bound(v: ChernClass, beta_star: Fraction, a_min: Fraction, a_max: Fracti
     candidate w let t = w1 - beta*w0, q = v - w, q0 = v0 - w0, s = t_v - t.
     The enumeration visits exactly 0 < t <= t_v, so 0 <= s < t_v.  A kept
     candidate has disc(w) >= 0, disc(q) >= 0 and its wall meets beta = beta*
-    at a = cross_a in [a_min, a_max].  At that point the central charges of
+    at a = cross_a >= a_min.  At that point the central charges of
     v and w are R-collinear, so with nu = (c - a*v0)/t_v (the tilt slope of
     v; any sign) ch2^b(w) - a*w0 = nu*t and ch2^b(q) - a*q0 = nu*s, and by
     twist invariance
@@ -217,7 +199,7 @@ def _w0_bound(v: ChernClass, beta_star: Fraction, a_min: Fraction, a_max: Fracti
         (K^2 - v0^2) * D(a) <= disc(v) * t_v^2.
 
     D'(a) = 2*N(a) > 0, so D increases on a >= 0 and D(a) >= D(a_min) on the
-    segment, and a_max does not enter the bound.  Finally
+    segment, and no top of the segment enters the bound.  Finally
     K = |v0| + 2*dist(w0, [min(0, v0), max(0, v0)]), so with d that distance
     K^2 - v0^2 = 4*d*(d + |v0|), and every candidate satisfies
 
@@ -240,7 +222,7 @@ def _candidate_pairs_for_w0(
     v: ChernClass,
     beta_star: Fraction,
     a_min: Fraction,
-    a_max: Fraction,
+    a_max: Union[Fraction, float],
     cfg: SurfaceConfig,
     w0: int,
     strict: bool,
@@ -270,7 +252,8 @@ def _candidate_pairs_for_w0(
     g = -t*v0/t_v != 0 as t > 0, so no other case needs its own branch.
 
     g != 0: a kept candidate has a semicircular wall whose point above b,
-    (b, cross_a) with a_min <= cross_a <= a_max, lies on E = 0, so
+    (b, cross_a) with a_min <= cross_a <= a_max, lies on E = 0 (a_max is
+    +inf when the query has no top), so
     x = t*c/t_v + cross_a*g.  Substituting x into the twist-invariant
     discriminants disc(w) = t^2 - 2*w0*x and disc(q) = s^2 - 2*q0*(c - x):
 
@@ -282,12 +265,20 @@ def _candidate_pairs_for_w0(
     <= disc(v) (< when strict; the window keeps <=, a superset).  Each is
     alpha + sigma*a >= 0: a >= -alpha/sigma if sigma > 0, a <= -alpha/sigma
     if sigma < 0, and for sigma = 0 all a or none as alpha >= 0 or not.  So
-    cross_a lies in the rational interval I = [a_lo, a_hi] cut from
-    [a_min, a_max] by the three half-lines.  The map a -> x is affine with
-    slope g: increasing for g > 0 and decreasing for g < 0, so in both
-    cases x(I) is the interval between x(a_lo) and x(a_hi), and w2 = k/den
-    lies between their translates e1 <= e2, i.e.
-    ceil(den*e1) <= k <= floor(den*e2).
+    cross_a lies in the interval I = [a_lo, a_hi] cut from [a_min, a_max]
+    by the three half-lines.
+
+    I is bounded even when a_max = +inf.  The three slopes -2*w0*g,
+    2*q0*g and 2*(w0 - q0)*g sum to zero.  They are not all zero: that
+    would need w0 = q0 = 0, hence v0 = 0, and then g = w0 - t*v0/t_v = 0.
+    So one slope is negative, and its half-line caps a_hi at a rational.
+    Starting from a_hi = +inf, every (w0, w1) therefore gets a finite,
+    rational window, and the search needs no top.
+
+    The map a -> x is affine with slope g: increasing for g > 0 and
+    decreasing for g < 0, so in both cases x(I) is the interval between
+    x(a_lo) and x(a_hi), and w2 = k/den lies between their translates
+    e1 <= e2, i.e. ceil(den*e1) <= k <= floor(den*e2).
     Only exact rational and integer arithmetic is used.
     """
     out = []
@@ -372,6 +363,9 @@ def enumerate_candidates(
 ) -> list[WallCandidate]:
     """All candidate walls for v crossing {beta = beta*, a in [a_min, a_max]}.
 
+    Without a_max the search covers the whole half-line a >= a_min; it is
+    finite all the same (see ``_candidate_pairs_for_w0``).
+
     Candidates are deduplicated by wall (all witnesses kept, the primary one
     normalized) and sorted by crossing height descending (outermost first).
     """
@@ -381,9 +375,7 @@ def enumerate_candidates(
     a_min = Fraction(a_min)
     if a_min <= 0:
         raise ValueError("a_min must be positive (walls accumulate at a = 0)")
-    if a_max is None:
-        a_max = default_a_max(v, a_min)
-    a_max = Fraction(a_max)
+    a_max = math.inf if a_max is None else Fraction(a_max)
     if a_max < a_min:
         raise ValueError("a_max < a_min")
     if discriminant(v) < 0:
@@ -393,7 +385,7 @@ def enumerate_candidates(
     if v.v1 - beta_star * v.v0 <= 0:
         raise ValueError("class is not in the heart at beta_star (nonpositive twisted degree)")
 
-    d = _w0_bound(v, beta_star, a_min, a_max) - abs(v.v0)
+    d = _w0_bound(v, beta_star, a_min) - abs(v.v0)
     raw = []
     for w0 in range(min(0, v.v0) - d, max(0, v.v0) + d + 1):
         if w0 % cfg.v0_step == 0:
@@ -413,58 +405,27 @@ def enumerate_candidates(
     return result
 
 
-def _slope_diff_sign(v: ChernClass, w: ChernClass, a: Fraction, beta: Fraction) -> int:
-    """Sign of nu(v) - nu(w), computed projectively (robust at infinite slope)."""
-    tv, tw = twist(v, beta), twist(w, beta)
-    expr = (tv.t2 - a * tv.t0) * tw.t1 - (tw.t2 - a * tw.t0) * tv.t1
-    return (expr > 0) - (expr < 0)
+def _crosses_exactly_along(v: ChernClass, w: ChernClass, wall: Semicircle) -> bool:
+    """Whether the tilt slopes of v and w agree on wall and nowhere else.
 
-
-def slope_crossing_oracle(
-    v: ChernClass, w: ChernClass, wall: NumericalWall, grid_step
-) -> bool:
-    """Brute-force check that the slopes of v and w cross exactly along wall.
-
-    Samples the slope difference on a rational beta-grid straddling the wall
-    and verifies the sign changes occur exactly in the grid cells where the
-    wall is crossed, and nowhere else.
+    With E(beta, a) = (ch2^beta(v) - a*v0)*ch1^beta(w) - (ch2^beta(w) -
+    a*w0)*ch1^beta(v) = (nu(v) - nu(w))*ch1^beta(v)*ch1^beta(w),
+    D = w0*v1 - v0*w1 and G = (beta - center)^2 + 2a - radius_sq, the slopes
+    cross exactly along the wall iff D != 0 and E = (D/2)*G as polynomials;
+    D = 0 with E = 0 would mean proportional classes, equal everywhere.
+    E - (D/2)*G has degree at most 3 in beta and at most 1 in a, so it is
+    zero iff it vanishes at four values of beta for each of two values of a.
+    (Its beta^3, beta^2 and a terms cancel identically, so fewer would do.)
+    E comes from ``twist``, independently of the formula in ``wall_between``.
     """
-    grid_step = Fraction(grid_step)
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-
-    if isinstance(wall, VerticalWall):
-        heights = [Fraction(1, 4), Fraction(1)]
-        lo, hi = wall.beta - 8 * grid_step, wall.beta + 8 * grid_step
-
-        def wall_side(beta, a):
-            x = beta - wall.beta
-            return (x > 0) - (x < 0)
-
-    else:
-        # sample at two heights strictly below the top of the semicircle
-        heights = [wall.radius_sq / 4, wall.radius_sq / 8]
-        span = _frac_sqrt_ceil(wall.radius_sq) + 1
-        lo, hi = wall.center - span, wall.center + span
-
-        def wall_side(beta, a):
-            x = (beta - wall.center) ** 2 + 2 * a - wall.radius_sq
-            return (x > 0) - (x < 0)
-
-    for a in heights:
-        beta = lo
-        prev_slope = None
-        prev_side = None
-        while beta <= hi:
-            s = _slope_diff_sign(v, w, a, beta)
-            side = wall_side(beta, a)
-            if prev_slope is not None:
-                slope_flips = s != 0 and prev_slope != 0 and s != prev_slope
-                side_flips = side != 0 and prev_side != 0 and side != prev_side
-                if slope_flips != side_flips:
-                    return False
-            if s == 0 and side != 0:
-                return False  # equal slopes off the reported wall
-            prev_slope, prev_side = s, side
-            beta += grid_step
+    d = w.v0 * v.v1 - v.v0 * w.v1
+    if d == 0:
+        return False
+    for beta in range(4):
+        tv, tw = twist(v, beta), twist(w, beta)
+        for a in range(2):
+            e = (tv.t2 - a * tv.t0) * tw.t1 - (tw.t2 - a * tw.t0) * tv.t1
+            g = (beta - wall.center) ** 2 + 2 * a - wall.radius_sq
+            if e != Fraction(d, 2) * g:
+                return False
     return True

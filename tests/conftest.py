@@ -2,15 +2,17 @@
 
 The oracles recompute wall data and function values by routes that share no
 code with the implementations they check (circle fitting through equal-slope
-points, factor sums at a = 0).
+points, sign changes of the slope difference on a rational grid, factor sums
+at a = 0).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from tiltwall import ChernClass, SurfaceConfig, chd_polynomial, twist
+from tiltwall import ChernClass, SurfaceConfig, VerticalWall, chd_polynomial, twist
 from tiltwall.hntree import hn_factors_at
 
 PPAS = SurfaceConfig.preset("ppas")
@@ -70,3 +72,68 @@ def chd0_value_by_factors(tree, x: Fraction) -> Fraction:
         if slope == float("inf") or slope > 0:
             total += chd_polynomial(cls).eval_rational(x)
     return total
+
+
+def _frac_sqrt_ceil(q: Fraction) -> int:
+    """Smallest integer n with n >= sqrt(q), for q >= 0."""
+    if q < 0:
+        raise ValueError("negative radicand")
+    n = math.isqrt(q.numerator // q.denominator)
+    while n * n < q:
+        n += 1
+    return n
+
+
+def _slope_diff_sign(v: ChernClass, w: ChernClass, a: Fraction, beta: Fraction) -> int:
+    """Sign of nu(v) - nu(w), computed projectively (robust at infinite slope)."""
+    tv, tw = twist(v, beta), twist(w, beta)
+    expr = (tv.t2 - a * tv.t0) * tw.t1 - (tw.t2 - a * tw.t0) * tv.t1
+    return (expr > 0) - (expr < 0)
+
+
+def slope_crossing_oracle(v: ChernClass, w: ChernClass, wall, grid_step) -> bool:
+    """Brute-force check that the slopes of v and w cross exactly along wall.
+
+    Samples the slope difference on a rational beta-grid straddling the wall
+    and verifies the sign changes occur exactly in the grid cells where the
+    wall is crossed, and nowhere else.
+    """
+    grid_step = Fraction(grid_step)
+    if grid_step <= 0:
+        raise ValueError("grid_step must be positive")
+
+    if isinstance(wall, VerticalWall):
+        heights = [Fraction(1, 4), Fraction(1)]
+        lo, hi = wall.beta - 8 * grid_step, wall.beta + 8 * grid_step
+
+        def wall_side(beta, a):
+            x = beta - wall.beta
+            return (x > 0) - (x < 0)
+
+    else:
+        # sample at two heights strictly below the top of the semicircle
+        heights = [wall.radius_sq / 4, wall.radius_sq / 8]
+        span = _frac_sqrt_ceil(wall.radius_sq) + 1
+        lo, hi = wall.center - span, wall.center + span
+
+        def wall_side(beta, a):
+            x = (beta - wall.center) ** 2 + 2 * a - wall.radius_sq
+            return (x > 0) - (x < 0)
+
+    for a in heights:
+        beta = lo
+        prev_slope = None
+        prev_side = None
+        while beta <= hi:
+            s = _slope_diff_sign(v, w, a, beta)
+            side = wall_side(beta, a)
+            if prev_slope is not None:
+                slope_flips = s != 0 and prev_slope != 0 and s != prev_slope
+                side_flips = side != 0 and prev_side != 0 and side != prev_side
+                if slope_flips != side_flips:
+                    return False
+            if s == 0 and side != 0:
+                return False  # equal slopes off the reported wall
+            prev_slope, prev_side = s, side
+            beta += grid_step
+    return True

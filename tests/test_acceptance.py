@@ -25,11 +25,10 @@ from tiltwall.walls import (
     Semicircle,
     enumerate_candidates,
     nesting,
-    slope_crossing_oracle,
     wall_between,
 )
 from tiltwall import catalog
-from conftest import random_class, random_disc0_class
+from conftest import random_class, random_disc0_class, slope_crossing_oracle
 
 F = Fraction
 

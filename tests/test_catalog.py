@@ -2,9 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from tiltwall import catalog
-from tiltwall.hntree import tree_from_json, tree_leaves, tree_to_json, trivial_chd
-from tiltwall.walls import enumerate_candidates, slope_crossing_oracle
+from tiltwall import catalog, hntree
+from tiltwall.hntree import (
+    TreeLeaf,
+    TreeNode,
+    tree_from_json,
+    tree_leaves,
+    tree_to_json,
+    trivial_chd,
+)
+from tiltwall.lattice import ChernClass
+from tiltwall.walls import enumerate_candidates
+from conftest import slope_crossing_oracle
 
 F = Fraction
 
@@ -47,6 +56,37 @@ def _outcomes(matrix, sid, kind=""):
 def test_regression_matrix_passes(matrix):
     assert len(matrix) == 55
     assert [name for name, ok in matrix if not ok] == []
+
+
+def test_each_tree_is_validated_once(monkeypatch):
+    calls = 0
+    validate = hntree.validate_tree
+
+    def counted(tree):
+        nonlocal calls
+        calls += 1
+        return validate(tree)
+
+    monkeypatch.setattr(hntree, "validate_tree", counted)
+    assert all(ok for _, ok in catalog.regression_checks())
+    assert calls == 11  # one per scenario with a tree
+
+
+_TWO_POINTS = catalog.load_scenario("ppas-ideal-2").tree
+
+
+@pytest.mark.parametrize("sid, tree, failing", [
+    # children swapped: leaf intercepts no longer non-increasing
+    ("ppas-ideal-2", TreeNode(_TWO_POINTS.cls, _TWO_POINTS.wall, _TWO_POINTS.children[::-1]),
+     ["tree valid", "chd0 regression", "continuity", "nonnegative", "derivative jumps"]),
+    # a one-leaf tree with a negative discriminant has no "tree valid" row
+    ("ppas-ideal-1", TreeLeaf(ChernClass(2, 0, 1)),
+     ["chd0 regression", "continuity", "nonnegative"]),
+])
+def test_invalid_tree_fails_every_row_that_needs_its_function(monkeypatch, sid, tree, failing):
+    monkeypatch.setattr(catalog.load_scenario(sid), "tree", tree)
+    failed = [name for name, ok in catalog.regression_checks() if not ok]
+    assert failed == [f"{sid}: {row}" for row in failing]
 
 
 @pytest.mark.parametrize("sid", EXPECTED_IDS)

@@ -4,7 +4,7 @@ import pytest
 
 from tiltwall.cli import main
 from tiltwall.exactnum import QuadraticIrrational as QI
-from tiltwall.hntree import tree_to_json
+from tiltwall.hntree import TreeNode, tree_to_json
 from tiltwall import catalog
 
 
@@ -188,6 +188,17 @@ class TestValidateCommand:
         assert "sum" in out
 
 
+    def test_invalid_tree_exits_1_for_chd_too(self, tmp_path, capsys):
+        data = tree_to_json(catalog.load_scenario("ppas-ideal-2").tree)
+        data["children"].reverse()  # leaf intercepts no longer non-increasing
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "validate", "--tree", str(path))
+        assert code == 1 and "not well-ordered" in out
+        code, out, err = run(capsys, "chd", "--tree", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid tree: not well-ordered") and err.count("\n") == 1
+
     @pytest.mark.parametrize("data", [
         {"class": 5},
         {"class": [2, None, 1]},
@@ -238,6 +249,15 @@ class TestCatalogCommand:
         assert data["class"] == [2, 0, "-2"]
         assert data["tree"]["wall"]["center"] == "-3/2"
 
+    def test_out_file(self, tmp_path, capsys):
+        for argv in ((), ("--id", "ppas-ideal-2")):
+            expected = run(capsys, "catalog", *argv)[1]
+            target = tmp_path / "catalog.txt"
+            code, out, _ = run(capsys, "catalog", *argv, "--out", str(target))
+            assert code == 0 and out == ""
+            assert target.read_text() == expected
+        assert expected.startswith("ppas-ideal-2: class (2,0,-2) on ppas\n")
+
     def test_unknown_id_exits_2(self, capsys):
         code, _, err = run(capsys, "catalog", "--id", "nope")
         assert code == 2
@@ -261,3 +281,36 @@ class TestCheckCommand:
         failed = [l for l in out.splitlines() if l.endswith("FAIL")]
         assert len(failed) == 1 and failed[0].startswith("ppas-ideal-2: derivative jumps ")
         assert out.endswith("\n54/55 checks passed\n")
+
+    def test_invalid_tree_exits_1(self, capsys, monkeypatch):
+        scenario = catalog.load_scenario("ppas-ideal-2")
+        tree = scenario.tree
+        monkeypatch.setattr(scenario, "tree", TreeNode(tree.cls, tree.wall, tree.children[::-1]))
+        code, out, err = run(capsys, "check")
+        assert code == 1 and err == ""
+        assert out.endswith("\n50/55 checks passed\n")
+
+
+class TestRemovedOptions:
+    """Options a command would not read are usage errors, not silent no-ops."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check",),
+        ("validate", "--scenario", "ppas-ideal-2"),
+        ("chd", "--scenario", "ppas-ideal-2"),
+        ("hn", "--scenario", "ppas-ideal-2", "--a", "1", "--beta", "-1"),
+        ("catalog",),
+    ])
+    @pytest.mark.parametrize("option", [("--preset", "ppas"), ("--config", "cfg.json")])
+    def test_preset_and_config_exit_2(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, *option])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv", [("check",), ("validate", "--scenario", "ppas-ideal-2")])
+    def test_out_exits_2(self, tmp_path, capsys, argv):
+        target = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--out", str(target)])
+        assert e.value.code == 2
+        assert not target.exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from tiltwall import catalog, walls
+from tiltwall.hntree import TreeNode
 from tiltwall.lattice import (
     ChernClass,
     SurfaceConfig,
@@ -18,17 +19,21 @@ from tiltwall.walls import (
     Nesting,
     Semicircle,
     VerticalWall,
+    _crosses_exactly_along,
     _w0_bound,
-    default_a_max,
     enumerate_candidates,
     nesting,
-    slope_crossing_oracle,
     wall_a_at,
     wall_between,
     wall_from_json,
 )
-from conftest import equal_slope_height, fit_circle_through_heights, random_class
-from walls_oracle import brute_force_candidates, loose_w0_bound
+from conftest import (
+    equal_slope_height,
+    fit_circle_through_heights,
+    random_class,
+    slope_crossing_oracle,
+)
+from walls_oracle import brute_force_candidates, loose_w0_bound, wall_height_bound
 
 F = Fraction
 ints = st.integers(min_value=-10, max_value=10)
@@ -255,12 +260,17 @@ ABELIAN = SurfaceConfig.preset("abelian-(1,2)")
 PPAS = SurfaceConfig.preset("ppas")
 
 
+def _oracle_top(v, a_min, a_max, cfg):
+    """The top for the brute force: a_max, or one above every wall of v."""
+    return a_max if a_max is not None else max(a_min, wall_height_bound(v, cfg))
+
+
 class TestRankWindow:
     """The two-sided w0 window against the loose one and the brute force."""
 
     def test_probe_window_is_small_and_independent_of_a_min(self):
         v = ChernClass(2, 0, -25)
-        bounds = [_w0_bound(v, F(-6), a_min, F(30)) for a_min in (F(1, 100), F(1, 1000))]
+        bounds = [_w0_bound(v, F(-6), a_min) for a_min in (F(1, 100), F(1, 1000))]
         assert bounds == [6, 6]
         assert loose_w0_bound(v, F(-6), F(1, 100), F(30)) == 7850
 
@@ -268,10 +278,8 @@ class TestRankWindow:
     @settings(max_examples=100, deadline=None)
     def test_never_wider_than_loose_bound(self, query):
         cfg, v, beta, a_min, a_max, _ = query
-        a_max = default_a_max(v, a_min) if a_max is None else a_max
-        assert abs(v.v0) <= _w0_bound(v, beta, a_min, a_max) <= loose_w0_bound(
-            v, beta, a_min, a_max
-        )
+        a_max = _oracle_top(v, a_min, a_max, cfg)
+        assert abs(v.v0) <= _w0_bound(v, beta, a_min) <= loose_w0_bound(v, beta, a_min, a_max)
 
     @given(small_queries())
     @settings(max_examples=60, deadline=None)
@@ -282,7 +290,8 @@ class TestRankWindow:
     def test_matches_brute_force(self, query):
         cfg, v, beta, a_min, a_max, strict = query
         fast = enumerate_candidates(v, beta, a_min, a_max, cfg, strict=strict)
-        slow = brute_force_candidates(v, beta, a_min, a_max, cfg, strict=strict)
+        top = _oracle_top(v, a_min, a_max, cfg)
+        slow = brute_force_candidates(v, beta, a_min, top, cfg, strict=strict)
         assert _outputs(fast) == _outputs(slow)
 
     def test_catalog_queries_match_brute_force(self):
@@ -355,10 +364,11 @@ class TestCrossingHeightWindow:
         ],
     )
     def test_edge_cases_match_brute_force(self, cfg, v, beta, a_max, strict):
-        args = (v, beta, F(1, 20), a_max, cfg)
-        fast = enumerate_candidates(*args, strict=strict)
+        fast = enumerate_candidates(v, beta, F(1, 20), a_max, cfg, strict=strict)
         assert fast
-        assert _outputs(fast) == _outputs(brute_force_candidates(*args, strict=strict))
+        top = _oracle_top(v, F(1, 20), a_max, cfg)
+        slow = brute_force_candidates(v, beta, F(1, 20), top, cfg, strict=strict)
+        assert _outputs(fast) == _outputs(slow)
 
     @pytest.mark.parametrize("a_min", [F(1, 100), F(1, 1000)])
     def test_probe_screening_count(self, monkeypatch, a_min):
@@ -375,6 +385,114 @@ class TestCrossingHeightWindow:
         assert len(cands) == 22
         assert sum(len(c.witnesses) for c in cands) == 28
         assert screened <= 108
+
+
+class TestUnboundedSearch:
+    """a_max=None searches the whole half-line a >= a_min, and stays finite."""
+
+    @given(small_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_at_wall_height_bound(self, query):
+        cfg, v, beta, a_min, _, strict = query
+        fast = enumerate_candidates(v, beta, a_min, None, cfg, strict=strict)
+        top = _oracle_top(v, a_min, None, cfg)
+        slow = brute_force_candidates(v, beta, a_min, top, cfg, strict=strict)
+        assert _outputs(fast) == _outputs(slow)
+
+    @given(small_queries())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_huge_top(self, query):
+        cfg, v, beta, a_min, _, strict = query
+        args = (v, beta, a_min)
+        assert _outputs(enumerate_candidates(*args, None, cfg, strict=strict)) == _outputs(
+            enumerate_candidates(*args, 10**7, cfg, strict=strict)
+        )
+
+    @given(small_queries())
+    @settings(max_examples=25, deadline=None)
+    def test_oracle_top_is_high_enough(self, query):
+        cfg, v, beta, a_min, _, strict = query
+        top = _oracle_top(v, a_min, None, cfg)
+        assert _outputs(brute_force_candidates(v, beta, a_min, top, cfg, strict=strict)) == (
+            _outputs(brute_force_candidates(v, beta, a_min, 2 * top, cfg, strict=strict))
+        )
+
+    @pytest.mark.parametrize(
+        "v, beta, a_min, walls_found",
+        [
+            (ChernClass(2, 8, F(-51, 2)), F(-20), F(1, 100), 17),
+            (ChernClass(6, 4, F(-47, 2)), F(-23), F(1, 10), 10),
+        ],
+    )
+    def test_outermost_walls_are_found(self, v, beta, a_min, walls_found):
+        # these walls rose above the old default top, max(1, disc(v)) + a_min
+        cands = enumerate_candidates(v, beta, a_min)
+        assert len(cands) == walls_found
+        assert _outputs(cands) == _outputs(enumerate_candidates(v, beta, a_min, 10000))
+        assert cands[0].cross_a > discriminant(v) + a_min
+
+    def test_outermost_wall_and_witness(self):
+        top = enumerate_candidates(ChernClass(2, 8, F(-51, 2)), F(-20), F(1, 100))[0]
+        assert (top.cross_a, top.witness) == (F(805, 4), ChernClass(0, 2, F(-69, 2)))
+
+
+def _catalog_witness_pairs():
+    """(class, witness, wall) for every witness of a catalog query or tree node."""
+    pairs = []
+    for s in map(catalog.load_scenario, catalog.list_scenarios()):
+        for c in enumerate_candidates(s.cls, F(-2), F(1, 100), F(10), s.config):
+            pairs.extend((s.cls, w, c.wall) for w in c.witnesses)
+        nodes = [s.tree] if isinstance(s.tree, TreeNode) else []
+        while nodes:
+            node = nodes.pop()
+            pairs.extend((node.cls, child.cls, node.wall) for child in node.children)
+            nodes.extend(c for c in node.children if isinstance(c, TreeNode))
+    return pairs
+
+
+class TestExactConfirmation:
+    """The exact wall predicate `check` uses, against the grid oracle."""
+
+    @staticmethod
+    def _both(v, w, wall):
+        exact = _crosses_exactly_along(v, w, wall)
+        assert exact == slope_crossing_oracle(v, w, wall, F(1, 64))
+        return exact
+
+    def _confirms_only_the_wall(self, v, w, wall, inflation=F(1, 32)):
+        assert self._both(v, w, wall)
+        assert not self._both(v, w, Semicircle(wall.center + F(1, 32), wall.radius_sq))
+        assert not self._both(v, w, Semicircle(wall.center, wall.radius_sq + inflation))
+
+    def test_catalog_witnesses(self):
+        pairs = _catalog_witness_pairs()
+        assert len(pairs) == 34
+        for v, w, wall in pairs:
+            self._confirms_only_the_wall(v, w, wall)
+
+    @given(small_classes, small_classes)
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_pairs(self, v, w):
+        wall = wall_between(v, w)
+        # the grid oracle's cost grows with the radius, and its cells hide an
+        # inflation of 1/32 once radius_sq passes about 2
+        assume(isinstance(wall, Semicircle) and wall.radius_sq <= 16)
+        self._confirms_only_the_wall(v, w, wall, inflation=F(1))
+
+    def test_proportional_classes_rejected(self):
+        # D = 0: the slopes agree on the whole plane, which is no wall
+        v, wall = ChernClass(2, 0, -2), Semicircle(F(-3, 2), F(1, 4))
+        for w in (v, ChernClass(4, 0, -4), ChernClass(-2, 0, 2)):
+            assert not self._both(v, w, wall)
+
+    @pytest.mark.parametrize("beta0", range(-5, 5))
+    def test_rejects_a_wall_meeting_the_true_one(self, beta0):
+        # a wrong wall meets the true one above beta0 and nowhere else
+        v, w = ChernClass(2, 0, -5), ChernClass(2, -2, 1)
+        wall = wall_between(v, w)
+        center = wall.center - 1
+        radius_sq = (beta0 - center) ** 2 - (beta0 - wall.center) ** 2 + wall.radius_sq
+        assert not self._both(v, w, Semicircle(center, radius_sq))
 
 
 class TestOracle:

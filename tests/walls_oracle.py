@@ -4,7 +4,9 @@ This is the enumerator as it was before the two-sided window: the rank w0
 runs over the loose window |w0| <= t_v*(M + sqrt(M^2 + 2*a_max))/(2*a_min)
 obtained from disc(w) >= 0 alone, whose size grows like 1/a_min.  The w1/w2
 loops and the screening are spelled out here rather than imported, so a
-change to the library's search cannot silently change the oracle.
+change to the library's search cannot silently change the oracle.  The
+oracle always searches a bounded segment; ``wall_height_bound`` gives a top
+that covers every wall, for comparison with the library's unbounded search.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from fractions import Fraction
 
 from tiltwall.lattice import ChernClass, SurfaceConfig, class_sub, discriminant, twist
-from tiltwall.walls import Semicircle, WallCandidate, default_a_max, wall_a_at, wall_between
+from tiltwall.walls import Semicircle, WallCandidate, wall_a_at, wall_between
 
 
 def _sqrt_ceil(q: Fraction) -> int:
@@ -71,11 +73,42 @@ def _w2_range(v, w0, w1, den):
     return range(math.ceil(lo * den), math.floor(hi * den) + 1)
 
 
-def brute_force_candidates(v, beta_star, a_min, a_max=None, cfg=None, strict=False):
-    """Same contract and output as ``walls.enumerate_candidates``."""
+def wall_height_bound(v: ChernClass, cfg: SurfaceConfig) -> Fraction:
+    """A height that the wall of no kept candidate for v rises above.
+
+    Proof.  Let a kept w have the wall (c, radius_sq), top height
+    h = radius_sq/2 >= cross_a and x = sqrt(2h) > 0.  Put T = ch1^c(v),
+    t = ch1^c(w), q = v - w, s = T - t; the screen keeps w only if
+    0 < t <= T.  At the top both tilt slopes are 0, so ch2^c(v) = h*v0 and
+    ch2^c(w) = h*w0, and by twist invariance
+
+        disc(v) = T^2 - v0^2*x^2,  disc(w) = t^2 - w0^2*x^2,
+        disc(q) = s^2 - q0^2*x^2.
+
+    The screen keeps disc(w) >= 0 and disc(q) >= 0, so t = |w0|*x + e1 and
+    s = |q0|*x + e2 with e1, e2 >= 0.  With e = e1 + e2 and
+    K = |w0| + |q0| >= |v0|, T = K*x + e, and T^2 = disc(v) + v0^2*x^2 reads
+
+        (K^2 - v0^2)*x^2 + 2*K*x*e + e^2 = disc(v),
+
+    a sum of nonnegative terms.  If K > |v0| (this includes v0 = 0, where
+    w0 != 0 as the wall is a semicircle), w0 lies at least v0_step outside
+    the interval between 0 and v0, so K - |v0| >= 2*v0_step and
+    K^2 - v0^2 >= 4*v0_step^2: x^2 <= disc(v)/(4*v0_step^2).  If K = |v0| > 0,
+    w0 and q0 are 0 or of the sign of v0, and D = w0*v1 - v0*w1 =
+    w0*T - v0*t = w0*e2 - q0*e1, so |D| <= |v0|*e <= disc(v)/(2x) by the
+    identity.  D is nonzero, as the wall is a semicircle, and a multiple of
+    v0_step*v1_step, so x^2 <= disc(v)^2/(4*(v0_step*v1_step)^2).  In both
+    cases cross_a <= h = x^2/2 is at most the value returned.
+    """
+    disc = discriminant(v)
+    return max(disc / (8 * cfg.v0_step**2), disc * disc / (8 * (cfg.v0_step * cfg.v1_step) ** 2))
+
+
+def brute_force_candidates(v, beta_star, a_min, a_max, cfg=None, strict=False):
+    """Same contract and output as ``walls.enumerate_candidates`` with a top."""
     cfg = cfg or SurfaceConfig.preset("ppas")
-    beta_star, a_min = Fraction(beta_star), Fraction(a_min)
-    a_max = Fraction(default_a_max(v, a_min) if a_max is None else a_max)
+    beta_star, a_min, a_max = Fraction(beta_star), Fraction(a_min), Fraction(a_max)
     t_v = v.v1 - beta_star * v.v0
     bound = loose_w0_bound(v, beta_star, a_min, a_max)
     groups: dict = {}
