@@ -24,8 +24,8 @@ from .hntree import (
     PiecewiseQuadratic,
     TreeLeaf,
     TreeNode,
+    _assemble,
     _breakpoint_reports,
-    assemble_chd0,
 )
 from .lattice import ChernClass, SurfaceConfig, discriminant, line_bundle_class, mu_slope
 from .walls import Semicircle, _crosses_exactly_along, enumerate_candidates, wall_a_at
@@ -314,7 +314,7 @@ def _scenario_checks(s: Scenario) -> list[tuple[str, bool]]:
     results = []
     if s.tree is not None:
         try:
-            fn = assemble_chd0(s.tree)
+            fn, groups = _assemble(s.tree)
         except InvalidTreeError:
             fn = None
         valid = fn is not None  # every row that needs the function fails without it
@@ -326,7 +326,7 @@ def _scenario_checks(s: Scenario) -> list[tuple[str, bool]]:
             results.append((f"{s.id}: nonnegative", valid and fn.check_nonnegative()))
         if s.expected_jumps:
             ok = valid and s.expected_jumps == {
-                r.x: r.derivative_jump for r in _breakpoint_reports(s.tree, fn)
+                r.x: r.derivative_jump for r in _breakpoint_reports(fn, groups)
             }
             results.append((f"{s.id}: derivative jumps", ok))
     if s.expected_walls:

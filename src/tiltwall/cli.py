@@ -19,6 +19,7 @@ from . import catalog
 from .exactnum import format_rational, parse_rational
 from .hntree import (
     InvalidTreeError,
+    _valid_leaves,
     assemble_chd0,
     assemble_chd1,
     hn_factors_at,
@@ -76,32 +77,24 @@ def cmd_walls(args) -> int:
             for c in candidates
         ]
         _emit(json.dumps(data, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["center,radius_sq,cross_a,witness"]
-        for c in candidates:
-            lines.append(
-                f"{format_rational(c.wall.center)},{format_rational(c.wall.radius_sq)},"
-                f"{format_rational(c.cross_a)},{c.witness}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "svg":
+        return 0
+    if args.format == "svg":
         _emit(render_walls_svg(v, candidates, beta_star=beta), args.out)
-    else:
-        header = ["center", "radius_sq", "cross_a", "witness"]
-        if args.approx:
-            header.append("cross_a~")
-        rows = []
-        for c in candidates:
-            row = [
-                format_rational(c.wall.center),
-                format_rational(c.wall.radius_sq),
-                format_rational(c.cross_a),
-                str(c.witness),
-            ]
-            if args.approx:
-                row.append(_approx(c.cross_a))
-            rows.append(row)
-        _emit(_table(header, rows), args.out)
+        return 0
+    header = ["center", "radius_sq", "cross_a", "witness"]
+    rows = [
+        [format_rational(c.wall.center), format_rational(c.wall.radius_sq),
+         format_rational(c.cross_a), str(c.witness)]
+        for c in candidates
+    ]
+    if args.format == "csv":
+        _emit("".join(",".join(row) + "\n" for row in [header, *rows]), args.out)
+        return 0
+    if args.approx:
+        header.append("cross_a~")
+        for row, c in zip(rows, candidates):
+            row.append(_approx(c.cross_a))
+    _emit(_table(header, rows), args.out)
     return 0
 
 
@@ -116,7 +109,7 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _resolve_tree(args):
-    if args.scenario:
+    if args.scenario is not None:
         scenario = catalog.load_scenario(args.scenario)
         if scenario.tree is None:
             raise ValueError(f"scenario {scenario.id} carries wall data only")
@@ -165,6 +158,7 @@ def cmd_validate(args) -> int:
 
 def cmd_hn(args) -> int:
     tree = _resolve_tree(args)
+    _valid_leaves(tree)  # an invalid tree exits 1, as in chd
     factors = hn_factors_at(tree, parse_rational(args.a), parse_rational(args.beta))
     header = ["class", "tilt_slope"]
     rows = []
@@ -218,6 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", help="write output to a file instead of stdout")
 
+    def add_tree_input(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--scenario", help="catalog scenario id")
+        group.add_argument("--tree", help="path to a tree JSON file")
+
     p = sub.add_parser("walls", help="enumerate candidate walls crossing a segment")
     p.add_argument("--preset", choices=["ppas", "abelian-(1,2)"], default="ppas")
     p.add_argument("--config", help="path to a surface config JSON file")
@@ -234,22 +233,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chd", help="assemble a Chern degree function")
     add_out(p)
-    p.add_argument("--scenario", help="catalog scenario id")
-    p.add_argument("--tree", help="path to a tree JSON file")
+    add_tree_input(p)
     p.add_argument("--k", type=int, choices=[0, 1], default=0)
     p.add_argument("--samples", type=int, default=100, help="sample count in csv mode")
     p.add_argument("--format", choices=["table", "json", "csv", "svg"], default="table")
     p.set_defaults(func=cmd_chd)
 
     p = sub.add_parser("validate", help="validate a destabilization tree")
-    p.add_argument("--scenario")
-    p.add_argument("--tree")
+    add_tree_input(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("hn", help="HN factor classes at a point (a, beta)")
     add_out(p)
-    p.add_argument("--scenario")
-    p.add_argument("--tree")
+    add_tree_input(p)
     p.add_argument("--a", required=True)
     p.add_argument("--beta", required=True)
     p.set_defaults(func=cmd_hn)
@@ -272,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("chd", "validate", "hn") and not (
-        getattr(args, "scenario", None) or getattr(args, "tree", None)
-    ):
-        parser.error(f"{args.command}: provide --scenario or --tree")
     try:
         return args.func(args)
     except InvalidTreeError as exc:

@@ -5,7 +5,9 @@ each internal node carries the wall along which it splits into its (ordered)
 children, and the final vertices determine the breakpoints -p_G of the
 resulting piecewise quadratic function.  Trees are input data; this module
 verifies their numerical consistency and assembles the functions, it never
-decides which walls are actual.
+decides which walls are actual.  One walk of a tree makes every check and
+collects the final vertices in order, each with its intercept; validation,
+assembly and the breakpoint reports all read their leaves from it.
 """
 
 from __future__ import annotations
@@ -102,21 +104,41 @@ class ValidationReport:
         return self.passed
 
 
+class InvalidTreeError(ValueError):
+    """A tree fails ``validate_tree``; the message lists every violation."""
+
+
 def validate_tree(tree: HNTree) -> ValidationReport:
     """Check every structural invariant of a destabilization tree.
 
-    Failures are reported with node paths; they are data, not exceptions.
+    One walk of the tree makes every check and collects the final vertices
+    with their intercepts.  Failures are reported with node paths; they are
+    data, not exceptions.
+    """
+    violations, _ = _walk(tree)
+    return ValidationReport(not violations, violations)
+
+
+def _walk(tree: HNTree) -> tuple[list[str], list[tuple[Optional[QI], TreeLeaf]]]:
+    """Violations, and the final vertices in lexicographic order with p_G (None
+    if G has none), from one depth-first pass.  Each node's discriminant is
+    checked once, at its own path; only a leaf with disc >= 0 can lack p_G.
     """
     violations: list[str] = []
+    leaves: list[tuple[Optional[QI], TreeLeaf]] = []
 
     def visit(node: HNTree, path: str, parent_wall: Optional[NumericalWall]):
+        disc = discriminant(node.cls)
+        if disc < 0:
+            violations.append(f"{path}: discriminant is negative")
         if isinstance(node, TreeLeaf):
-            try:
-                node.p
-            except ValueError as exc:
-                violations.append(f"{path}: leaf has no intercept ({exc})")
-            if discriminant(node.cls) < 0:
-                violations.append(f"{path}: leaf discriminant is negative")
+            p = None
+            if disc >= 0:
+                try:
+                    p = node.p
+                except ValueError as exc:
+                    violations.append(f"{path}: leaf has no intercept ({exc})")
+            leaves.append((p, node))
             return
         if len(node.children) < 2:
             violations.append(f"{path}: internal node needs at least two children")
@@ -124,30 +146,20 @@ def validate_tree(tree: HNTree) -> ValidationReport:
         for child in node.children:
             total = child.cls if total is None else class_add(total, child.cls)
         if total != node.cls:
-            violations.append(
-                f"{path}: children sum to {total}, expected {node.cls}"
-            )
+            violations.append(f"{path}: children sum to {total}, expected {node.cls}")
         for i, child in enumerate(node.children):
-            cpath = f"{path}.{i}"
             w = wall_between(node.cls, child.cls)
             if w != node.wall:
                 violations.append(
-                    f"{cpath}: wall between node and child is {w}, node wall is {node.wall}"
+                    f"{path}.{i}: wall between node and child is {w}, node wall is {node.wall}"
                 )
-            if discriminant(child.cls) < 0:
-                violations.append(f"{cpath}: child discriminant is negative")
         if len(node.children) >= 2:
             child_disc = sum(discriminant(c.cls) for c in node.children)
-            if not child_disc < discriminant(node.cls):
+            if not child_disc < disc:
                 violations.append(
-                    f"{path}: children discriminants sum to {child_disc}, "
-                    f"not below {discriminant(node.cls)}"
+                    f"{path}: children discriminants sum to {child_disc}, not below {disc}"
                 )
-        if (
-            parent_wall is not None
-            and isinstance(parent_wall, Semicircle)
-            and isinstance(node.wall, Semicircle)
-        ):
+        if isinstance(parent_wall, Semicircle) and isinstance(node.wall, Semicircle):
             rel = nesting(node.wall, parent_wall)
             if not (rel.relation is Nesting.NESTED and rel.inner == node.wall):
                 violations.append(
@@ -159,18 +171,20 @@ def validate_tree(tree: HNTree) -> ValidationReport:
     visit(tree, "root", None)
 
     # well-orderedness: leaf intercepts non-increasing in lexicographic order
-    leaves = tree_leaves(tree)
-    try:
-        ps = [leaf.p for leaf in leaves]
-        for i in range(len(ps) - 1):
-            if ps[i] < ps[i + 1]:
-                violations.append(
-                    f"not well-ordered: leaf {i} has p = {ps[i]} < {ps[i + 1]} = leaf {i + 1}"
-                )
-    except ValueError:
-        pass  # already reported above
+    ps = [p for p, _ in leaves]
+    if all(p is not None for p in ps):  # a missing intercept is already reported
+        for i, (p, q) in enumerate(zip(ps, ps[1:])):
+            if p < q:
+                violations.append(f"not well-ordered: leaf {i} has p = {p} < {q} = leaf {i + 1}")
+    return violations, leaves
 
-    return ValidationReport(not violations, violations)
+
+def _valid_leaves(tree: HNTree) -> list[tuple[QI, TreeLeaf]]:
+    """``_walk``'s leaves of a valid tree; raises InvalidTreeError otherwise."""
+    violations, leaves = _walk(tree)
+    if violations:
+        raise InvalidTreeError("invalid tree: " + "; ".join(violations))
+    return leaves
 
 
 class PointOnWallError(ValueError):
@@ -328,42 +342,39 @@ def _quad_nonneg_on(p: QuadPoly, lo: Optional[QI], hi: Optional[QI]) -> bool:
     return p.c0 >= 0
 
 
-class InvalidTreeError(ValueError):
-    """A tree fails ``validate_tree``; the message lists every violation."""
-
-
-def _require_valid(tree: HNTree) -> None:
-    report = validate_tree(tree)
-    if not report:
-        raise InvalidTreeError("invalid tree: " + "; ".join(report.violations))
-
-
 def assemble_chd0(tree: HNTree) -> PiecewiseQuadratic:
     """Assemble the degree-0 Chern degree function from a well-ordered tree.
 
     Breakpoints are the distinct values -p_G over final vertices G; the piece
     after the k-th breakpoint is the cumulative sum of the Chern degree
-    polynomials of the leaves switched on so far.
+    polynomials of the leaves switched on so far.  The leaves and their
+    intercepts come from the one walk that validates the tree.
     """
-    _require_valid(tree)
-    leaves = tree_leaves(tree)
-    marks = [(-leaf.p, leaf.cls) for leaf in leaves]  # ascending by well-order
-    breakpoints: list[QI] = []
+    return _assemble(tree)[0]
+
+
+def _assemble(tree: HNTree) -> tuple[PiecewiseQuadratic, list[tuple[QI, list[TreeLeaf]]]]:
+    """chd0 of a valid tree, and the leaves switched on at each breakpoint.
+
+    Along the walk -p_G is non-decreasing, so leaves sharing a breakpoint are
+    consecutive; they merge into one group and one piece here.
+    """
+    groups: list[tuple[QI, list[TreeLeaf]]] = []
     pieces: list[QuadPoly] = [QuadPoly(0)]
-    acc = QuadPoly(0)
-    for x, cls in marks:
-        acc = acc + chd_polynomial(cls)
-        if breakpoints and breakpoints[-1] == x:
+    for p, leaf in _valid_leaves(tree):
+        x, acc = -p, pieces[-1] + chd_polynomial(leaf.cls)
+        if groups and groups[-1][0] == x:
+            groups[-1][1].append(leaf)
             pieces[-1] = acc
         else:
-            breakpoints.append(x)
+            groups.append((x, [leaf]))
             pieces.append(acc)
-    fn = PiecewiseQuadratic(breakpoints, pieces)
+    fn = PiecewiseQuadratic([x for x, _ in groups], pieces)
     if fn.pieces[-1] != chd_polynomial(tree.cls):
         raise RuntimeError(f"chd0 of {tree.cls}: last piece differs from the root's polynomial")
     if not fn.check_continuity():
         raise RuntimeError(f"chd0 of {tree.cls}: assembled function is discontinuous")
-    return fn
+    return fn, groups
 
 
 def assemble_chd1(tree: HNTree) -> PiecewiseQuadratic:
@@ -417,19 +428,15 @@ def classify_breakpoints(tree: HNTree) -> list[BreakpointReport]:
     with a discriminant-0 one.  The remaining classification requires
     geometric input and is never reported from numerical data alone.
     """
-    return _breakpoint_reports(tree, assemble_chd0(tree))
+    return _breakpoint_reports(*_assemble(tree))
 
 
-def _breakpoint_reports(tree: HNTree, chd0: PiecewiseQuadratic) -> list[BreakpointReport]:
-    """``classify_breakpoints`` given chd0 = ``assemble_chd0(tree)``."""
-    leaves = tree_leaves(tree)
-    by_x: dict[QI, list[TreeLeaf]] = {}
-    for leaf in leaves:
-        by_x.setdefault(-leaf.p, []).append(leaf)
-
+def _breakpoint_reports(
+    chd0: PiecewiseQuadratic, groups: list[tuple[QI, list[TreeLeaf]]]
+) -> list[BreakpointReport]:
+    """``classify_breakpoints`` given (chd0, groups) = ``_assemble(tree)``."""
     reports = []
-    for i, x in enumerate(chd0.breakpoints):
-        contributing = by_x[x]
+    for i, (x, contributing) in enumerate(groups):
         jump = QI(0)
         for leaf in contributing:
             jump = jump + QI.sqrt(discriminant(leaf.cls))

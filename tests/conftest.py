@@ -12,8 +12,8 @@ import math
 import random
 from fractions import Fraction
 
-from tiltwall import ChernClass, SurfaceConfig, VerticalWall, chd_polynomial, twist
-from tiltwall.hntree import hn_factors_at
+from tiltwall import ChernClass, Semicircle, SurfaceConfig, VerticalWall, chd_polynomial, twist
+from tiltwall.hntree import TreeNode, hn_factors_at, tree_from_json, tree_to_json
 
 PPAS = SurfaceConfig.preset("ppas")
 
@@ -72,6 +72,56 @@ def chd0_value_by_factors(tree, x: Fraction) -> Fraction:
         if slope == float("inf") or slope > 0:
             total += chd_polynomial(cls).eval_rational(x)
     return total
+
+
+def mutated_trees(rng: random.Random, tree, cfg: SurfaceConfig, n: int) -> list:
+    """n copies of tree, each one random mutation away from it.
+
+    A mutation swaps two children of a node, moves one leaf class by one
+    lattice step, moves a node's wall center by +-1/2 or grows its radius_sq
+    by 1/2, or drops a child.  Most results are invalid; some, such as a swap of leaves with
+    equal intercepts, stay valid.
+    """
+    out = []
+    while len(out) < n:
+        clone = tree_from_json(tree_to_json(tree))
+        stack, nodes, leaves = [clone], [], []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, TreeNode):
+                nodes.append(node)
+                stack.extend(node.children)
+            else:
+                leaves.append(node)
+        kind = rng.choice(["swap", "step", "wall", "drop"] if nodes else ["step"])
+        if kind == "step":
+            leaf = rng.choice(leaves)
+            v0, v1, v2 = leaf.cls.v0, leaf.cls.v1, leaf.cls.v2
+            sign = rng.choice([-1, 1])
+            coord = rng.randrange(3)
+            if coord == 0:
+                v0 += sign * cfg.v0_step
+            elif coord == 1:
+                v1 += sign * cfg.v1_step
+            else:
+                v2 += Fraction(sign, cfg.v2_denominator)
+            leaf.cls = ChernClass(v0, v1, v2)
+        else:
+            node = rng.choice(nodes)
+            if kind == "swap":
+                i, j = rng.sample(range(len(node.children)), 2)
+                node.children[i], node.children[j] = node.children[j], node.children[i]
+            elif kind == "wall":
+                center, radius_sq = node.wall.center, node.wall.radius_sq
+                if rng.random() < 0.5:
+                    center += Fraction(rng.choice([-1, 1]), 2)
+                else:
+                    radius_sq += Fraction(1, 2)
+                node.wall = Semicircle(center, radius_sq)
+            else:
+                node.children.pop(rng.randrange(len(node.children)))
+        out.append(clone)
+    return out
 
 
 def _frac_sqrt_ceil(q: Fraction) -> int:

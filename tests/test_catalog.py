@@ -58,18 +58,38 @@ def test_regression_matrix_passes(matrix):
     assert [name for name, ok in matrix if not ok] == []
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap hntree.<name>; the returned list grows by one per call."""
+    calls = []
+    inner = getattr(hntree, name)
+
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(hntree, name, counted)
+    return calls
+
+
 def test_each_tree_is_validated_once(monkeypatch):
-    calls = 0
-    validate = hntree.validate_tree
-
-    def counted(tree):
-        nonlocal calls
-        calls += 1
-        return validate(tree)
-
-    monkeypatch.setattr(hntree, "validate_tree", counted)
+    walks = _count_calls(monkeypatch, "_walk")
     assert all(ok for _, ok in catalog.regression_checks())
-    assert calls == 11  # one per scenario with a tree
+    assert len(walks) == 11  # one per scenario with a tree
+
+
+_W2 = catalog.load_scenario("ppas-ideal-5-W2").tree
+
+
+@pytest.mark.parametrize("run, expected", [
+    (catalog.regression_checks, 20),  # 20 leaves over the 11 trees
+    (lambda: hntree.classify_breakpoints(_W2), 3),
+    (lambda: hntree.validate_tree(_W2), 3),
+    (lambda: hntree.assemble_chd1(_W2), 3),
+], ids=["regression_checks", "classify_breakpoints", "validate_tree", "assemble_chd1"])
+def test_each_leaf_intercept_is_computed_once(monkeypatch, run, expected):
+    calls = _count_calls(monkeypatch, "p_intercept")
+    run()
+    assert len(calls) == expected
 
 
 _TWO_POINTS = catalog.load_scenario("ppas-ideal-2").tree

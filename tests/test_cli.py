@@ -149,6 +149,19 @@ class TestChdCommand:
             main(["chd"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("option", ["--scenario", "--tree"])
+    def test_empty_input_exits_2(self, capsys, option):
+        code, out, err = run(capsys, "chd", option, "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["chd"], ["validate"], ["hn", "--a", "1", "--beta", "-3"]])
+    def test_scenario_and_tree_exit_2(self, capsys, command):
+        with pytest.raises(SystemExit) as e:
+            main([*command, "--scenario", "ppas-ideal-2", "--tree", "tree.json"])
+        assert e.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exits_2(self, capsys, samples):
         code, out, err = run(capsys, "chd", "--scenario", "ppas-ideal-2",
@@ -195,9 +208,10 @@ class TestValidateCommand:
         path.write_text(json.dumps(data))
         code, out, _ = run(capsys, "validate", "--tree", str(path))
         assert code == 1 and "not well-ordered" in out
-        code, out, err = run(capsys, "chd", "--tree", str(path))
-        assert code == 1 and out == ""
-        assert err.startswith("error: invalid tree: not well-ordered") and err.count("\n") == 1
+        for argv in (["chd"], ["hn", "--a", "1/100", "--beta", "-1"]):
+            code, out, err = run(capsys, *argv, "--tree", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("error: invalid tree: not well-ordered") and err.count("\n") == 1
 
     @pytest.mark.parametrize("data", [
         {"class": 5},

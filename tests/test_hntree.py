@@ -5,6 +5,7 @@ import pytest
 
 from tiltwall.exactnum import QuadPoly, QuadraticIrrational as QI
 from tiltwall.hntree import (
+    InvalidTreeError,
     PiecewiseQuadratic,
     PointOnWallError,
     TreeLeaf,
@@ -20,9 +21,9 @@ from tiltwall.hntree import (
     validate_tree,
 )
 from tiltwall.lattice import ChernClass, chd_polynomial
-from tiltwall.walls import Semicircle
+from tiltwall.walls import Semicircle, wall_between
 from tiltwall import catalog
-from conftest import chd0_value_by_factors
+from conftest import chd0_value_by_factors, mutated_trees
 
 F = Fraction
 
@@ -96,6 +97,13 @@ class TestValidation:
         tree.children[1] = bad
         report = validate_tree(tree)
         assert any("nested" in v for v in report.violations)
+
+    def test_negative_discriminant_is_one_violation(self):
+        neg, other = ChernClass(2, 0, 1), ChernClass(0, 2, -5)
+        root = ChernClass(2, 2, -4)
+        tree = TreeNode(root, wall_between(root, neg), [TreeLeaf(neg), TreeLeaf(other)])
+        assert validate_tree(tree).violations == ["root.0: discriminant is negative"]
+        assert validate_tree(TreeLeaf(neg)).violations == ["root: discriminant is negative"]
 
     def test_json_round_trip(self):
         tree = n4_tree()
@@ -199,6 +207,24 @@ class TestAssembly:
         with pytest.raises(ValueError, match="invalid tree"):
             assemble_chd0(bad)
 
+    def test_assembly_refuses_exactly_the_invalid_trees(self):
+        rng = random.Random(11)
+        outcomes = set()
+        for sid in catalog.list_scenarios():
+            scenario = catalog.load_scenario(sid)
+            if scenario.tree is None:
+                continue
+            for tree in mutated_trees(rng, scenario.tree, scenario.config, 20):
+                valid = validate_tree(tree).passed
+                try:
+                    assemble_chd0(tree)
+                    refused = False
+                except InvalidTreeError:
+                    refused = True
+                assert refused is not valid, (sid, tree_to_json(tree))
+                outcomes.add(valid)
+        assert outcomes == {True, False}
+
     def test_broken_invariant_raises_not_asserts(self, monkeypatch):
         # explicit checks, so they also hold under python -O
         monkeypatch.setattr(PiecewiseQuadratic, "check_continuity", lambda self: False)
@@ -260,6 +286,16 @@ class TestBreakpointReports:
         assert r.derivative_jump == QI(2)
         assert not r.overlap
         assert r.condition_tags == frozenset({"a"})
+
+    def test_contributing_leaves_are_the_tree_leaves(self):
+        for sid in catalog.list_scenarios():
+            tree = catalog.load_scenario(sid).tree
+            if tree is None:
+                continue
+            reported = [l for r in classify_breakpoints(tree) for l in r.contributing_leaves]
+            leaves = tree_leaves(tree)
+            assert len(reported) == len(leaves)
+            assert all(a is b for a, b in zip(reported, leaves))
 
     def test_jump_mismatch_raises(self, monkeypatch):
         import tiltwall.hntree as hntree
