@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 # no option starts with a digit, so "-5/2", "-.5" and "-2,4,-3" are values
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
@@ -28,7 +27,7 @@ from .hntree import (
     validate_tree,
 )
 from .lattice import ChernClass, SurfaceConfig
-from .svgplot import render_function_svg, render_walls_svg
+from .svgplot import function_range, rational_grid, render_function_svg, render_walls_svg
 from .walls import enumerate_candidates
 
 USAGE_ERROR, CHECK_FAILURE = 2, 1
@@ -127,12 +126,9 @@ def cmd_chd(args) -> int:
         _emit(json.dumps(fn.to_json(), indent=2) + "\n", args.out)
     elif args.format == "csv":
         lines = ["x,value"]
-        lo = float(fn.breakpoints[0]) - 1 if fn.breakpoints else -1.0
-        hi = float(fn.breakpoints[-1]) + 1 if fn.breakpoints else 1.0
-        n = args.samples
-        for i in range(n + 1):
-            x = Fraction(round((lo + (hi - lo) * i / n) * 4096), 4096)
-            lines.append(f"{format_rational(x)},{_approx(fn.eval_at(x))}")
+        xs = rational_grid(*function_range(fn), args.samples, 4096)
+        for x, y in zip(xs, fn.sample(xs)):
+            lines.append(f"{format_rational(x)},{_approx(y)}")
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "svg":
         _emit(render_function_svg(fn), args.out)

@@ -353,7 +353,7 @@ class QuadPoly:
 
     def eval_rational(self, x: RationalLike) -> Fraction:
         x = Fraction(x)
-        return self.c0 + self.c1 * x + self.c2 * x * x
+        return self.c0 + x * (self.c1 + self.c2 * x)
 
     def __str__(self):
         return (

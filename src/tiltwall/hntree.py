@@ -266,6 +266,34 @@ class PiecewiseQuadratic:
         x = x if isinstance(x, QI) else QI(Fraction(x))
         return quad_eval(self.pieces[self.piece_index_at(x)], x)
 
+    def sample(self, xs: list[Fraction]) -> list[Fraction]:
+        """Exact values at the ascending rationals xs, in one sweep over the breakpoints.
+
+        Piece rule: x takes the piece of `piece_index_at`, the first i with
+        x <= breakpoints[i] (the last piece if there is none).  For x <= x',
+        x' <= b implies x <= b, so the index of x' is at least that of x: the
+        sweep only moves forward and passes each breakpoint once.  On its
+        piece the value is the rational pieces[i](x), the same number that
+        `eval_at(x)` returns as a rational quadratic irrational.
+
+        `x > b` is decided exactly: a rational breakpoint is compared as its
+        Fraction, an irrational one by the exact `QuadraticIrrational`
+        comparison.
+
+        A descending pair in xs raises ValueError.
+        """
+        keys = [b.a if b.is_rational else b for b in self.breakpoints]
+        values: list[Fraction] = []
+        i, prev = 0, None
+        for x in xs:
+            if prev is not None and x < prev:
+                raise ValueError(f"sample points must ascend: {x} follows {prev}")
+            prev = x
+            while i < len(keys) and keys[i] < x:
+                i += 1
+            values.append(self.pieces[i].eval_rational(x))
+        return values
+
     def check_continuity(self) -> bool:
         for i, b in enumerate(self.breakpoints):
             if quad_eval(self.pieces[i], b) != quad_eval(self.pieces[i + 1], b):

@@ -9,8 +9,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exactnum import QuadPoly
 from .hntree import PiecewiseQuadratic
-from .lattice import ChernClass, mu_slope, twist
+from .lattice import ChernClass, mu_slope
 from .walls import Semicircle, WallCandidate
 
 _W, _H, _PAD = 800.0, 400.0, 40.0
@@ -18,6 +19,21 @@ _W, _H, _PAD = 800.0, 400.0, 40.0
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
+
+
+def function_range(fn: PiecewiseQuadratic) -> tuple[float, float]:
+    """Plotted and sampled x range of a function: one unit past its outer
+    breakpoints, or [-1, 1] when it has none."""
+    if not fn.breakpoints:
+        return -1.0, 1.0
+    return float(fn.breakpoints[0]) - 1.0, float(fn.breakpoints[-1]) + 1.0
+
+
+def rational_grid(lo: float, hi: float, steps: int, den: int) -> list[Fraction]:
+    """steps + 1 rationals over den, each the rounding of one of the evenly spaced
+    floats from lo to hi; ascending (non-strictly) when lo <= hi, as every
+    float step is monotone."""
+    return [Fraction(round((lo + (hi - lo) * i / steps) * den), den) for i in range(steps + 1)]
 
 
 class _Frame:
@@ -100,13 +116,11 @@ def _hyperbola_polyline(v: ChernClass, fr: _Frame) -> str:
             f'x2="{_fmt(fr.px(b))}" y2="{_fmt(fr.py(fr.y_hi))}" '
             f'stroke="green" stroke-dasharray="4 3"/>'
         )
+    # the zero-slope locus is a = twist(v, beta).t2 / v0, one rational quadratic
+    height = QuadPoly(v.v2 / v.v0, -Fraction(v.v1, v.v0), Fraction(1, 2))
     pts = []
-    steps = 200
-    for i in range(steps + 1):
-        beta = Fraction(
-            round((fr.x_lo + (fr.x_hi - fr.x_lo) * i / steps) * 1024), 1024
-        )
-        a = twist(v, beta).t2 / v.v0  # height of the zero-slope locus
+    for beta in rational_grid(fr.x_lo, fr.x_hi, 200, 1024):
+        a = height.eval_rational(beta)
         if a < 0:
             continue
         alpha = math.sqrt(2 * float(a))
@@ -123,16 +137,9 @@ def _hyperbola_polyline(v: ChernClass, fr: _Frame) -> str:
 
 def render_function_svg(fn: PiecewiseQuadratic) -> str:
     """Graph of a piecewise quadratic with breakpoint markers."""
-    if fn.breakpoints:
-        b_lo, b_hi = float(fn.breakpoints[0]), float(fn.breakpoints[-1])
-    else:
-        b_lo = b_hi = 0.0
-    x_lo, x_hi = b_lo - 1.0, b_hi + 1.0
-    steps = 400
-    values = []
-    for i in range(steps + 1):
-        x = Fraction(round((x_lo + (x_hi - x_lo) * i / steps) * 1024), 1024)
-        values.append((float(x), float(fn.eval_at(x))))
+    x_lo, x_hi = function_range(fn)
+    xs = rational_grid(x_lo, x_hi, 400, 1024)
+    values = [(float(x), float(y)) for x, y in zip(xs, fn.sample(xs))]
     y_hi = max(y for _, y in values) or 1.0
     fr = _Frame(x_lo, x_hi, y_hi)
     pts = " ".join(f"{_fmt(fr.px(x))},{_fmt(fr.py(y))}" for x, y in values)

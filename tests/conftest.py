@@ -13,7 +13,9 @@ import random
 from fractions import Fraction
 
 from tiltwall import ChernClass, Semicircle, SurfaceConfig, VerticalWall, chd_polynomial, twist
+from tiltwall.exactnum import format_rational
 from tiltwall.hntree import TreeNode, hn_factors_at, tree_from_json, tree_to_json
+from tiltwall.svgplot import _Frame, _fmt, function_range
 
 PPAS = SurfaceConfig.preset("ppas")
 
@@ -72,6 +74,44 @@ def chd0_value_by_factors(tree, x: Fraction) -> Fraction:
         if slope == float("inf") or slope > 0:
             total += chd_polynomial(cls).eval_rational(x)
     return total
+
+
+def pointwise_function_polyline(fn) -> str:
+    """The function polyline of ``render_function_svg(fn)``, one ``eval_at`` per point.
+
+    The point-by-point loop the plot used before ``PiecewiseQuadratic.sample``:
+    401 points of the 1/1024 grid, each located and evaluated on its own.
+    """
+    x_lo, x_hi = function_range(fn)
+    values = []
+    for i in range(401):
+        x = Fraction(round((x_lo + (x_hi - x_lo) * i / 400) * 1024), 1024)
+        values.append((float(x), float(fn.eval_at(x))))
+    fr = _Frame(x_lo, x_hi, max(y for _, y in values) or 1.0)
+    pts = " ".join(f"{_fmt(fr.px(x))},{_fmt(fr.py(y))}" for x, y in values)
+    return f'<polyline class="function" points="{pts}" fill="none" stroke="blue"/>'
+
+
+def pointwise_csv(fn, n: int) -> str:
+    """``chd --format csv --samples n`` output, one ``eval_at`` per row."""
+    lo, hi = function_range(fn)
+    lines = ["x,value"]
+    for i in range(n + 1):
+        x = Fraction(round((lo + (hi - lo) * i / n) * 4096), 4096)
+        lines.append(f"{format_rational(x)},{float(fn.eval_at(x)):.6g}")
+    return "\n".join(lines) + "\n"
+
+
+def pointwise_hyperbola_points(v: ChernClass, fr) -> list[str]:
+    """Points of the zero-slope locus in a walls plot, one ``twist`` per beta."""
+    pts = []
+    for i in range(201):
+        beta = Fraction(round((fr.x_lo + (fr.x_hi - fr.x_lo) * i / 200) * 1024), 1024)
+        a = twist(v, beta).t2 / v.v0
+        alpha = math.sqrt(2 * float(a)) if a >= 0 else None
+        if alpha is not None and alpha <= fr.y_hi:
+            pts.append(f"{_fmt(fr.px(float(beta)))},{_fmt(fr.py(alpha))}")
+    return pts
 
 
 def mutated_trees(rng: random.Random, tree, cfg: SurfaceConfig, n: int) -> list:

@@ -4,8 +4,15 @@ import pytest
 
 from tiltwall.cli import main
 from tiltwall.exactnum import QuadraticIrrational as QI
-from tiltwall.hntree import TreeNode, tree_to_json
+from tiltwall.hntree import TreeNode, assemble_chd0, assemble_chd1, tree_to_json
+from tiltwall.lattice import ChernClass
+from tiltwall.svgplot import _Frame, _hyperbola_polyline
 from tiltwall import catalog
+from conftest import pointwise_csv, pointwise_function_polyline, pointwise_hyperbola_points
+
+TREE_SCENARIOS = [
+    sid for sid in catalog.list_scenarios() if catalog.load_scenario(sid).tree is not None
+]
 
 
 def run(capsys, *argv):
@@ -175,6 +182,29 @@ class TestChdCommand:
         )
         assert code == 0
         assert out.count('class="breakpoint"') == 2
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    @pytest.mark.parametrize("sid", TREE_SCENARIOS)
+    def test_svg_and_csv_match_pointwise_evaluation(self, capsys, sid, k):
+        tree = catalog.load_scenario(sid).tree
+        fn = assemble_chd1(tree) if k == "1" else assemble_chd0(tree)
+        code, out, _ = run(capsys, "chd", "--scenario", sid, "--k", k, "--format", "svg")
+        assert code == 0 and pointwise_function_polyline(fn) in out.splitlines()
+        for n in ("1", "7", "100"):
+            code, out, _ = run(capsys, "chd", "--scenario", sid, "--k", k,
+                               "--format", "csv", "--samples", n)
+            assert code == 0 and out == pointwise_csv(fn, int(n))
+
+    @pytest.mark.parametrize("v", [ChernClass(2, 0, -5), ChernClass(-2, 4, -3), ChernClass(6, 4, -4)])
+    @pytest.mark.parametrize("frame", [(-6.5, 3.25, 4.0), (-1.0, 1.0, 1.0), (0.3, 9.7, 0.5)])
+    def test_hyperbola_matches_pointwise_twist(self, v, frame):
+        fr = _Frame(*frame)
+        pts = pointwise_hyperbola_points(v, fr)
+        polyline = _hyperbola_polyline(v, fr)
+        if pts:
+            assert f'points="{" ".join(pts)}"' in polyline
+        else:
+            assert polyline == "<!-- hyperbola outside viewport -->"
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "fn.json"

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltwall.exactnum import QuadPoly, QuadraticIrrational as QI
 from tiltwall.hntree import (
@@ -171,6 +173,73 @@ class TestPiecewiseQuadratic:
         clone = PiecewiseQuadratic.from_json(fn.to_json())
         assert clone == fn
         assert clone.breakpoints == [QI.sqrt(2)]
+
+
+def _catalog_functions() -> list[PiecewiseQuadratic]:
+    fns = []
+    for sid in catalog.list_scenarios():
+        tree = catalog.load_scenario(sid).tree
+        if tree is not None:
+            fns += [assemble_chd0(tree), assemble_chd1(tree)]
+    # the catalog's breakpoints are all rational; one-leaf functions add irrational ones
+    fns += [trivial_chd(ChernClass(*v)) for v in [(2, 0, -5), (2, 2, -3), (4, 2, -5), (0, 2, -5)]]
+    return fns + [fn.reflect() for fn in fns]
+
+
+CATALOG_FUNCTIONS = _catalog_functions()
+small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def mixed_field_functions(draw):
+    """Random pieces over up to five breakpoints, rational or in one of several fields."""
+    points = {
+        QI(draw(small), draw(small), draw(st.sampled_from([0, 2, 3, 5, 6, 7, 10])))
+        for _ in range(draw(st.integers(0, 5)))
+    }
+    pieces = [QuadPoly(draw(small), draw(small), draw(small)) for _ in range(len(points) + 1)]
+    return PiecewiseQuadratic(sorted(points), pieces)
+
+
+def _near(b: QI, k: int) -> Fraction:
+    """A rational within 2**-40 of the irrational b: below it if k < 0, above otherwise."""
+    r = math.isqrt(b.d << 128)  # r / 2**64 < sqrt(d) < (r + 1) / 2**64
+    lo, hi = sorted(b.a + b.b * Fraction(r + e, 2**64) for e in (0, 1))
+    return (lo if k < 0 else hi) + Fraction(k, 2**64)
+
+
+@st.composite
+def functions_with_points(draw):
+    """A function and ascending points: random ones, every rational breakpoint,
+    and points within 2**-40 of each irrational breakpoint on either side."""
+    fn = draw(st.one_of(st.sampled_from(CATALOG_FUNCTIONS), mixed_field_functions()))
+    ends = [float(b) for b in fn.breakpoints] or [0.0]
+    lo, hi = math.floor(min(ends)) - 2, math.ceil(max(ends)) + 2
+    xs = draw(st.lists(st.fractions(lo, hi, max_denominator=4096), max_size=30))
+    for b in fn.breakpoints:
+        if b.is_rational:
+            xs.append(b.a)
+        else:
+            offsets = st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=4)
+            xs += [_near(b, k) for k in draw(offsets)]
+    return fn, sorted(xs)
+
+
+class TestSample:
+    @settings(max_examples=150, deadline=None)
+    @given(functions_with_points())
+    def test_sample_equals_eval_at(self, case):
+        fn, xs = case
+        values = fn.sample(xs)
+        assert len(values) == len(xs)
+        for x, y in zip(xs, values):
+            assert type(y) is Fraction and QI(y) == fn.eval_at(x), x
+
+    def test_descending_points_raise(self):
+        fn = assemble_chd0(n4_tree())
+        with pytest.raises(ValueError, match="ascend"):
+            fn.sample([F(1), F(3, 2), F(3, 2), F(1, 2)])
+        assert fn.sample([]) == []
 
 
 class TestAssembly:
