@@ -63,7 +63,6 @@ def cmd_walls(args) -> int:
         parse_rational(args.amin),
         parse_rational(args.amax) if args.amax else None,
         cfg,
-        strict=args.strict,
     )
     if args.format == "json":
         data = [
@@ -222,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amin", required=True, help="lower end of the segment (a = alpha^2/2)")
     p.add_argument("--amax", default=None,
                    help="upper end; default: none (the search is finite without one)")
-    p.add_argument("--strict", action="store_true", help="strict discriminant inequality")
     p.add_argument("--approx", action="store_true", help="add 6-digit decimal column")
     p.add_argument("--format", choices=["table", "json", "csv", "svg"], default="table")
     p.set_defaults(func=cmd_walls)

@@ -148,8 +148,6 @@ class QuadraticIrrational:
 
     def _enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         """Dyadic enclosure [lo, hi] of the value, width shrinking with bits."""
-        if self.d == 0:
-            return self.a, self.a
         scale = 1 << bits
         r = math.isqrt(self.d * scale * scale)
         lo_s, hi_s = Fraction(r, scale), Fraction(r + 1, scale)

@@ -16,9 +16,13 @@ alone gave one that grows like 1/a_min.  Inside the window, w1 runs over
 0 < ch1^beta*(w) <= ch1^beta*(v).  For fixed w0 and w1, the height at which
 the wall of w crosses beta = beta* is an affine function of w2, and so are
 disc(w) and disc(v - w) at that height; w2 therefore runs only over the
-image of the heights where both discriminants are nonnegative and sum to at
-most disc(v), which is a bounded interval even without a_max
-(``_candidate_pairs_for_w0``, whose docstring has the proof).
+image of the heights where both discriminants are nonnegative, which is a
+bounded interval even without a_max.  That window decides everything but
+the discriminant spectrum: each w in it has a semicircular wall crossing
+the segment, a discriminant drop disc(w) + disc(v - w) < disc(v), and stays
+in the heart at the top of its wall, so ``_screen_candidate`` tests only
+that both discriminants are 0 or multiples of the minimal discriminant
+(``_candidate_pairs_for_w0``, whose docstring has the proofs).
 """
 
 from __future__ import annotations
@@ -166,7 +170,8 @@ def _w0_bound(v: ChernClass, beta_star: Fraction, a_min: Fraction) -> int:
     """Largest |w0| of any candidate crossing the segment (exact, complete).
 
     The window is [min(0, v0) - d, max(0, v0) + d] with d = bound - |v0|;
-    every candidate kept by ``_screen_candidate`` has its rank in it.
+    every kept candidate (as defined in ``_candidate_pairs_for_w0``) has its
+    rank in it.
 
     Proof.  Write t_v = ch1^b(v) > 0 and c = ch2^b(v) at b = beta*, and for a
     candidate w let t = w1 - beta*w0, q = v - w, q0 = v0 - w0, s = t_v - t.
@@ -225,67 +230,115 @@ def _candidate_pairs_for_w0(
     a_max: Union[Fraction, float],
     cfg: SurfaceConfig,
     w0: int,
-    strict: bool,
 ) -> list[tuple[Semicircle, ChernClass, Fraction]]:
     """Kept candidates of rank w0, with w2 run over a crossing-height window.
 
-    Every candidate of rank w0 that ``_screen_candidate`` keeps lies in the
-    window; values outside it never reach the screen.
+    A candidate w is kept when 0 < ch1^beta*(w) <= ch1^beta*(v), its wall
+    with v is a semicircle that meets beta = beta* at a height in
+    [a_min, a_max], w stays in the heart at the top of the wall
+    (0 < ch1^center(w) <= ch1^center(v)), disc(w) and disc(v - w) lie in
+    the discriminant spectrum (0 or a multiple of the minimal discriminant,
+    so in particular >= 0), and disc(w) + disc(v - w) <= disc(v).  Every
+    kept candidate of rank w0 lies in the window, and every w in the window
+    meets all of these conditions but the spectrum, which is the one test
+    ``_screen_candidate`` makes.  The sum condition holds strictly (part 2),
+    so asking for < instead of <= would change nothing.
 
-    Proof.  At b = beta* write t_v = ch1^b(v) > 0, c = ch2^b(v), and for
+    Notation.  At b = beta* write t_v = ch1^b(v) > 0, c = ch2^b(v), and for
     w = (w0, w1, w2) let t = w1 - b*w0, s = t_v - t, q = v - w, q0 = v0 - w0
     and x = ch2^b(w) = w2 - b*w1 + b^2*w0/2, so w2 = x + b*w1 - b^2*w0/2.
-    The w1 loop visits exactly 0 < t <= t_v.  As t and t_v are positive,
-    the tilt slopes of v and w agree at (b, a) iff
+    The w1 loop visits exactly 0 < t <= t_v, so 0 <= s < t_v.  As t and
+    t_v are positive, the tilt slopes of v and w agree at (b, a) iff
 
         E = (c - a*v0)*t - (x - a*w0)*t_v = 0,  i.e.  x = t*c/t_v + a*g,
 
-    with g = (w0*t_v - t*v0)/t_v.  Written at a general beta in place of b,
-    E = -(d01/2)*((beta - center)^2 + 2a - radius_sq) with d01, center and
-    radius_sq as in ``wall_between``, so a semicircular wall is exactly the
-    zero set of E, and d01 = v0*w1 - v1*w0 = -g*t_v.
+    with g = (w0*t_v - t*v0)/t_v, so that g*t_v = w0*s - q0*t.  Written at a
+    general beta in place of b, E = -(d01/2)*((beta - center)^2 + 2a -
+    radius_sq) with d01, center and radius_sq as in ``wall_between``, so a
+    semicircular wall is exactly the zero set of E, and d01 = v0*w1 - v1*w0
+    = -g*t_v.
 
     g = 0: then d01 = 0 and ``wall_between`` gives a vertical wall or None,
-    never a semicircle, so the screen rejects every w2 and the w1 is
-    skipped.  This covers w0 = v0 = 0, where g vanishes for every w1; for
-    v0 = 0 and w0 != 0 we have g = w0 != 0, and for w0 = 0 and v0 != 0
-    g = -t*v0/t_v != 0 as t > 0, so no other case needs its own branch.
+    never a semicircle, so no w2 is kept and the w1 is skipped.  This covers
+    w0 = v0 = 0, where g vanishes for every w1; for v0 = 0 and w0 != 0 we
+    have g = w0 != 0, and for w0 = 0 and v0 != 0 g = -t*v0/t_v != 0 as
+    t > 0, so no other case needs its own branch.
 
-    g != 0: a kept candidate has a semicircular wall whose point above b,
-    (b, cross_a) with a_min <= cross_a <= a_max, lies on E = 0 (a_max is
-    +inf when the query has no top), so
-    x = t*c/t_v + cross_a*g.  Substituting x into the twist-invariant
+    The window, g != 0.  A kept candidate meets beta = b at a height a with
+    a_min <= a <= a_max (a_max is +inf when the query has no top), and there
+    x = t*c/t_v + a*g.  Substituting x into the twist-invariant
     discriminants disc(w) = t^2 - 2*w0*x and disc(q) = s^2 - 2*q0*(c - x):
 
         disc(w) = t^2 - 2*w0*t*c/t_v - 2*a*w0*g,
         disc(q) = s^2 - 2*q0*s*c/t_v + 2*a*q0*g,
 
-    at a = cross_a, both affine in a, and so is disc(v) - disc(w) - disc(q).
-    The screen requires disc(w) >= 0, disc(q) >= 0 and disc(w) + disc(q)
-    <= disc(v) (< when strict; the window keeps <=, a superset).  Each is
+    both affine in a.  Each of disc(w) >= 0 and disc(q) >= 0 is
     alpha + sigma*a >= 0: a >= -alpha/sigma if sigma > 0, a <= -alpha/sigma
     if sigma < 0, and for sigma = 0 all a or none as alpha >= 0 or not.  So
-    cross_a lies in the interval I = [a_lo, a_hi] cut from [a_min, a_max]
-    by the three half-lines.
+    a lies in the interval I = [a_lo, a_hi] cut from [a_min, a_max] by the
+    two half-lines.  The map a -> x is affine with slope g: increasing for
+    g > 0 and decreasing for g < 0, so in both cases x(I) is the interval
+    between x(a_lo) and x(a_hi), and w2 = k/den lies between their
+    translates e1 <= e2, i.e. ceil(den*e1) <= k <= floor(den*e2).  Each k
+    in that range gives a w whose x is x(a) for exactly one a in I.  The
+    four parts below fix such a w and its a; a >= a_min > 0.
 
-    I is bounded even when a_max = +inf.  The three slopes -2*w0*g,
-    2*q0*g and 2*(w0 - q0)*g sum to zero.  They are not all zero: that
-    would need w0 = q0 = 0, hence v0 = 0, and then g = w0 - t*v0/t_v = 0.
-    So one slope is negative, and its half-line caps a_hi at a rational.
-    Starting from a_hi = +inf, every (w0, w1) therefore gets a finite,
-    rational window, and the search needs no top.
+    1. Window => wall and range.  d01 = -g*t_v != 0, and (b, a) lies on the
+    zero set of E, so radius_sq = (b - center)^2 + 2a >= 2a > 0: the wall
+    is a semicircle, and ``wall_a_at`` gives cross_a = a, in
+    [a_lo, a_hi] within [a_min, a_max].  disc(w) >= 0 and disc(q) >= 0 hold
+    exactly at that a, by the two half-lines.
 
-    The map a -> x is affine with slope g: increasing for g > 0 and
-    decreasing for g < 0, so in both cases x(I) is the interval between
-    x(a_lo) and x(a_hi), and w2 = k/den lies between their translates
-    e1 <= e2, i.e. ceil(den*e1) <= k <= floor(den*e2).
+    2. The discriminant drop is automatic.  Let nu = (c - a*v0)/t_v, the
+    tilt slope of v at (b, a).  E = 0 gives ch2^b(w) - a*w0 = nu*t, and
+    ch2^b(q) - a*q0 = nu*s by subtraction from v, so every u among v, w, q
+    has disc(u) = F(u0, ch1^b(u)) with
+
+        F(x, y) = y^2 - 2*nu*x*y - 2*a*x^2.
+
+    F has discriminant 4*(nu^2 + 2a) > 0, so F = L+ * L- with real linear
+    forms L+- = y - (nu +- sqrt(nu^2 + 2a))*x, whose slopes have product
+    -2a < 0.  A vector with F >= 0 and y > 0 has L+ >= 0 and L- >= 0: both
+    <= 0 would give y <= 0 (use L- if x >= 0, L+ if x < 0).  (w0, t) is
+    such a vector, since disc(w) >= 0 and t > 0.  So is (q0, s): s = 0
+    would give disc(q) = -2a*q0^2 >= 0, so q0 = 0 and g*t_v = w0*s - q0*t
+    = 0.  (v0, t_v) is their sum, so disc(v) - disc(w) - disc(q) = 2*B with
+    B the polar form of F, 2*B = L+(w0, t)*L-(q0, s) + L-(w0, t)*L+(q0, s),
+    a sum of two terms >= 0.  Both vanish only if the two vectors lie on
+    one line L+ = 0 or L- = 0 (neither vector is 0, and L+ and L- vanish
+    together only at 0), that is, only if w0*s = q0*t, which is g = 0.
+    Hence disc(w) + disc(q) < disc(v).
+
+    3. The heart at the top.  Suppose ch1^beta(w) = 0 at a point
+    (beta, a1) of the open arc (a1 > 0) of the wall, where E vanishes.  If
+    ch1^beta(v) != 0 there, E = 0 gives ch2^beta(w) = a1*w0, so
+    disc(w) = -2*a1*w0^2; that is < 0 unless w0 = 0, and w0 = 0 would make
+    ch1^beta(w) = w1 = t > 0 for every beta.  If ch1^beta(v) = 0 too, then
+    w1 = beta*w0 and v1 = beta*v0, so d01 = 0.  Both contradict the above,
+    so on the arc, which is connected and passes through (b, a),
+    ch1^beta(w) keeps the sign of t > 0.  q has the same wall (its E is
+    -E) and ch1^b(q) = s > 0 (part 2), so the same holds for q.  At the
+    top: 0 < ch1^center(w) < ch1^center(v).
+
+    4. Finiteness without a top.  The two slopes are sigma_w = -2*w0*g and
+    sigma_q = 2*q0*g, and with g*t_v = w0*s - q0*t
+
+        sigma_w*t_v = -2*(w0^2*s - w0*q0*t),
+        sigma_q*t_v = -2*(q0^2*t - w0*q0*s).
+
+    If w0*q0 > 0, sigma_w*sigma_q = -4*w0*q0*g^2 < 0: the slopes have
+    opposite signs.  If w0*q0 <= 0, both are <= 0 (s >= 0, t > 0), and both
+    are 0 only if w0^2*s = w0*q0 = q0 = 0, which gives w0*s = q0*t = 0,
+    i.e. g = 0.  So one slope is negative, and its half-line caps a_hi at a
+    rational.  Starting from a_hi = +inf, every (w0, w1) therefore gets a
+    finite, rational window, and the search needs no top.
+
     Only exact rational and integer arithmetic is used.
     """
     out = []
     tv = twist(v, beta_star)
     t_v, c = tv.t1, tv.t2
     slope_v = c / t_v
-    disc_v = discriminant(v)
     den = cfg.v2_denominator
     q0 = v.v0 - w0
     # w1 runs over multiples of v1_step with 0 < t = w1 - beta*w0 <= t_v
@@ -298,13 +351,10 @@ def _candidate_pairs_for_w0(
         if g == 0:
             continue
         s = t_v - t
-        alpha_w = t * (t - 2 * w0 * slope_v)
-        alpha_q = s * (s - 2 * q0 * slope_v)
         a_lo, a_hi = a_min, a_max
         for alpha, sigma in (
-            (alpha_w, -2 * w0 * g),
-            (alpha_q, 2 * q0 * g),
-            (disc_v - alpha_w - alpha_q, 2 * (w0 - q0) * g),
+            (t * (t - 2 * w0 * slope_v), -2 * w0 * g),
+            (s * (s - 2 * q0 * slope_v), 2 * q0 * g),
         ):
             if sigma > 0:
                 a_lo = max(a_lo, -alpha / sigma)
@@ -318,7 +368,7 @@ def _candidate_pairs_for_w0(
         e1, e2 = sorted((shift + a_lo * g, shift + a_hi * g))
         for k in range(math.ceil(e1 * den), math.floor(e2 * den) + 1):
             w = ChernClass(w0, w1, Fraction(k, den))
-            cand = _screen_candidate(v, w, beta_star, a_min, a_max, disc_v, cfg, strict)
+            cand = _screen_candidate(v, w, beta_star, cfg)
             if cand is not None:
                 out.append(cand)
     return out
@@ -329,28 +379,20 @@ def _in_discriminant_spectrum(disc: Fraction, m: int) -> bool:
     return disc == 0 or (disc / m).denominator == 1
 
 
-def _screen_candidate(v, w, beta_star, a_min, a_max, disc_v, cfg, strict):
-    disc_w = discriminant(w)
-    if disc_w < 0 or not _in_discriminant_spectrum(disc_w, cfg.minimal_discriminant):
-        return None
-    disc_q = discriminant(class_sub(v, w))
-    if disc_q < 0 or not _in_discriminant_spectrum(disc_q, cfg.minimal_discriminant):
-        return None
-    total = disc_w + disc_q
-    if (total >= disc_v) if strict else (total > disc_v):
+def _screen_candidate(v, w, beta_star, cfg):
+    """(wall, w, cross_a) if disc(w) and disc(v - w) are in the spectrum.
+
+    This is the one test the crossing-height window cannot make: every w
+    that reaches it already has a semicircular wall crossing the segment,
+    disc(w) >= 0 and disc(v - w) >= 0 with a sum below disc(v), and stays
+    in the heart at the top (``_candidate_pairs_for_w0`` has the proofs).
+    """
+    m = cfg.minimal_discriminant
+    if not (_in_discriminant_spectrum(discriminant(w), m)
+            and _in_discriminant_spectrum(discriminant(class_sub(v, w)), m)):
         return None
     wall = wall_between(v, w)
-    if not isinstance(wall, Semicircle):
-        return None
-    # subobject stays in the heart at the top point: 0 < im(w) <= im(v) there
-    top_w = w.v1 - wall.center * w.v0
-    top_v = v.v1 - wall.center * v.v0
-    if not (0 < top_w <= top_v):
-        return None
-    cross_a = wall_a_at(wall, beta_star)
-    if cross_a is None or not (a_min <= cross_a <= a_max):
-        return None
-    return wall, w, cross_a
+    return wall, w, wall_a_at(wall, beta_star)
 
 
 def enumerate_candidates(
@@ -359,10 +401,10 @@ def enumerate_candidates(
     a_min,
     a_max=None,
     cfg: SurfaceConfig = None,
-    strict: bool = False,
 ) -> list[WallCandidate]:
     """All candidate walls for v crossing {beta = beta*, a in [a_min, a_max]}.
 
+    The candidates are the kept ones defined in ``_candidate_pairs_for_w0``.
     Without a_max the search covers the whole half-line a >= a_min; it is
     finite all the same (see ``_candidate_pairs_for_w0``).
 
@@ -389,7 +431,7 @@ def enumerate_candidates(
     raw = []
     for w0 in range(min(0, v.v0) - d, max(0, v.v0) + d + 1):
         if w0 % cfg.v0_step == 0:
-            raw.extend(_candidate_pairs_for_w0(v, beta_star, a_min, a_max, cfg, w0, strict))
+            raw.extend(_candidate_pairs_for_w0(v, beta_star, a_min, a_max, cfg, w0))
 
     # canonical grouping by wall, independent of discovery order
     groups: dict[Semicircle, tuple[Fraction, set[ChernClass]]] = {}

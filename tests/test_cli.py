@@ -124,6 +124,16 @@ class TestWallsCommand:
             main(["walls", "--badflag"])
         assert e.value.code == 2
 
+    def test_approx_column(self, capsys):
+        args = ("walls", "--class", "2,0,-5", "--beta", "-2", "--amin", "1/100")
+        code, out, _ = run(capsys, *args, "--approx")
+        _, exact, _ = run(capsys, *args)
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[0].split() == ["center", "radius_sq", "cross_a", "witness", "cross_a~"]
+        assert [r.split()[-1] for r in rows[1:]] == ["1.5", "0.5", "0.166667"]
+        assert [r.split()[:-1] for r in rows] == [r.split() for r in exact.splitlines()]
+
 
 class TestChdCommand:
     def test_scenario_table(self, capsys):
@@ -155,6 +165,11 @@ class TestChdCommand:
         with pytest.raises(SystemExit) as e:
             main(["chd"])
         assert e.value.code == 2
+
+    def test_wall_data_scenario_exits_2(self, capsys):
+        code, out, err = run(capsys, "chd", "--scenario", "ppas-ideal-5-W1-walls")
+        assert (code, out) == (2, "")
+        assert err == "error: scenario ppas-ideal-5-W1-walls carries wall data only\n"
 
     @pytest.mark.parametrize("option", ["--scenario", "--tree"])
     def test_empty_input_exits_2(self, capsys, option):
@@ -358,3 +373,10 @@ class TestRemovedOptions:
             main([*argv, "--out", str(target)])
         assert e.value.code == 2
         assert not target.exists()
+
+    def test_strict_exits_2(self, capsys):
+        # the sum of the two discriminants is always below disc(v), so a
+        # strict test of it selected nothing
+        with pytest.raises(SystemExit) as e:
+            main(["walls", "--class", "2,0,-25", "--beta", "-6", "--amin", "1/100", "--strict"])
+        assert e.value.code == 2

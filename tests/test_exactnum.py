@@ -122,6 +122,21 @@ class TestSignAndOrder:
         assert QI(1) + QI.sqrt(2) < QI.sqrt(6)
         assert QI.sqrt(2) + 1 > QI.sqrt(5)
 
+    def test_cross_field_compare_refines(self, monkeypatch):
+        # 1.41421356757 against sqrt(2) = 1.41421356237: the 16-bit
+        # enclosures overlap, the 32-bit ones are disjoint
+        x, y = QI(Fraction(-31783724, 10**8), 1, 3), QI(0, 1, 2)
+        bits_used = []
+        enclosure = QI._enclosure
+
+        def spy(self, bits):
+            bits_used.append(bits)
+            return enclosure(self, bits)
+
+        monkeypatch.setattr(QI, "_enclosure", spy)
+        assert x.compare(y) == 1 and y.compare(x) == -1
+        assert bits_used == [16, 16, 32, 32] * 2
+
     @given(rationals, st.fractions(min_value=-10, max_value=10, max_denominator=16),
            st.integers(min_value=0, max_value=50))
     def test_sign_matches_float(self, a, b, d):

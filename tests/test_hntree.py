@@ -174,6 +174,38 @@ class TestPiecewiseQuadratic:
         assert clone == fn
         assert clone.breakpoints == [QI.sqrt(2)]
 
+    def test_jump_is_not_continuous(self):
+        fn = PiecewiseQuadratic([QI(0), QI.sqrt(2)], [QuadPoly(0), QuadPoly(0), QuadPoly(1)])
+        assert not fn.check_continuity()
+
+    @pytest.mark.parametrize("fn", [
+        # negative at a breakpoint, from the left piece and from the right one
+        PiecewiseQuadratic([QI(0)], [QuadPoly(-1, 0, 1), QuadPoly(1)]),
+        PiecewiseQuadratic([QI(0)], [QuadPoly(1), QuadPoly(-1, 0, 1)]),
+        # negative at the start of the domain
+        PiecewiseQuadratic([], [QuadPoly(-1, 0, 1)], domain_start=QI(0)),
+        # nonnegative at both ends, negative at the vertex between them
+        PiecewiseQuadratic(
+            [QI(-1), QI(3)], [QuadPoly(F(7, 2)), QuadPoly(F(1, 2), -2, 1), QuadPoly(F(7, 2))]
+        ),
+        # concave, and unbounded on one side
+        PiecewiseQuadratic([QI(0)], [QuadPoly(1, 0, -1), QuadPoly(1)]),
+        # linear, and unbounded on the side where it falls
+        PiecewiseQuadratic([QI(0)], [QuadPoly(1, 1), QuadPoly(1)]),
+        PiecewiseQuadratic([QI(0)], [QuadPoly(1), QuadPoly(1, -1)]),
+    ])
+    def test_negative_somewhere(self, fn):
+        assert not fn.check_nonnegative()
+
+    @pytest.mark.parametrize("fn", [
+        PiecewiseQuadratic([QI(0)], [QuadPoly(0, 0, 1), QuadPoly(0)]),
+        PiecewiseQuadratic([QI(-1), QI(1)], [QuadPoly(0), QuadPoly(1, 0, -1), QuadPoly(0)]),
+        PiecewiseQuadratic([], [QuadPoly(0, 1)], domain_start=QI(0)),
+        PiecewiseQuadratic([QI(0)], [QuadPoly(0, -1), QuadPoly(0)]),
+    ])
+    def test_nonnegative(self, fn):
+        assert fn.check_nonnegative()
+
 
 def _catalog_functions() -> list[PiecewiseQuadratic]:
     fns = []

@@ -197,12 +197,6 @@ class TestEnumeration:
         assert ChernClass(0, 2, -3) in cands[0].witnesses  # quotient side of (2,-2,1)
         assert ChernClass(-2, 4, -4) in cands[0].witnesses  # quotient side of (4,-4,2)
 
-    def test_strict_mode_is_subset(self):
-        v = ChernClass(2, 0, -25)
-        loose = enumerate_candidates(v, F(-6), F(1, 100), F(30))
-        strict = enumerate_candidates(v, F(-6), F(1, 100), F(30), strict=True)
-        assert {c.wall for c in strict} <= {c.wall for c in loose}
-
     def test_pairwise_nesting_of_output(self):
         cands = enumerate_candidates(ChernClass(2, 0, -25), F(-6), F(1, 100), F(30))
         for i in range(len(cands)):
@@ -237,8 +231,10 @@ def _outputs(cands):
 def small_queries(draw):
     """(cfg, v, beta*, a_min, a_max, strict) valid for enumerate_candidates.
 
-    Ranks and degrees stay within a few lattice steps and beta* within 4 of
-    mu(v), so the brute-force oracle's 1/a_min window stays cheap.
+    strict picks the brute-force oracle's discriminant-sum test (< or <=);
+    the library must match both.  Ranks and degrees stay within a few
+    lattice steps and beta* within 4 of mu(v), so the brute-force oracle's
+    1/a_min window stays cheap.
     """
     cfg = SurfaceConfig.preset(draw(st.sampled_from(["ppas", "abelian-(1,2)"])))
     v0 = cfg.v0_step * draw(st.integers(-1, 1))
@@ -289,7 +285,7 @@ class TestRankWindow:
     @example((PPAS, ChernClass(0, 4, -8), F(-2), F(1, 20), None, False))
     def test_matches_brute_force(self, query):
         cfg, v, beta, a_min, a_max, strict = query
-        fast = enumerate_candidates(v, beta, a_min, a_max, cfg, strict=strict)
+        fast = enumerate_candidates(v, beta, a_min, a_max, cfg)
         top = _oracle_top(v, a_min, a_max, cfg)
         slow = brute_force_candidates(v, beta, a_min, top, cfg, strict=strict)
         assert _outputs(fast) == _outputs(slow)
@@ -341,7 +337,7 @@ class TestCrossingHeightWindow:
     def test_narrow_segments_match_brute_force(self, query, length, strict):
         cfg, v, beta, a_min = query
         args = (v, beta, a_min, a_min + length, cfg)
-        assert _outputs(enumerate_candidates(*args, strict=strict)) == _outputs(
+        assert _outputs(enumerate_candidates(*args)) == _outputs(
             brute_force_candidates(*args, strict=strict)
         )
 
@@ -364,7 +360,7 @@ class TestCrossingHeightWindow:
         ],
     )
     def test_edge_cases_match_brute_force(self, cfg, v, beta, a_max, strict):
-        fast = enumerate_candidates(v, beta, F(1, 20), a_max, cfg, strict=strict)
+        fast = enumerate_candidates(v, beta, F(1, 20), a_max, cfg)
         assert fast
         top = _oracle_top(v, F(1, 20), a_max, cfg)
         slow = brute_force_candidates(v, beta, F(1, 20), top, cfg, strict=strict)
@@ -387,6 +383,37 @@ class TestCrossingHeightWindow:
         assert screened <= 108
 
 
+class TestWindowDecides:
+    """The checks the window makes, so that the screen need not.
+
+    ``walls._candidate_pairs_for_w0`` proves each of them; here every
+    witness of every returned wall is held to them.
+    """
+
+    @given(small_queries())
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    @example((PPAS, ChernClass(2, 0, -25), F(-6), F(1, 100), F(30), False))
+    @example((PPAS, ChernClass(2, 0, -5), F(-2), F(1, 100), None, False))
+    @example((PPAS, ChernClass(2, 8, F(-51, 2)), F(-20), F(1, 100), None, False))
+    @example((ABELIAN, ChernClass(-4, -8, 3), F(7, 2), F(1, 15), None, False))
+    def test_every_witness_meets_the_deleted_checks(self, query):
+        cfg, v, beta, a_min, a_max, _ = query
+        cands = enumerate_candidates(v, beta, a_min, a_max, cfg)
+        assume(cands)  # most drawn queries have no wall
+        for c in cands:
+            assert a_min <= c.cross_a and (a_max is None or c.cross_a <= a_max)
+            assert wall_a_at(c.wall, beta) == c.cross_a
+            top_v = v.v1 - c.wall.center * v.v0
+            for w in c.witnesses:
+                disc_w, disc_q = discriminant(w), discriminant(class_sub(v, w))
+                assert wall_between(v, w) == c.wall
+                assert disc_w >= 0 and disc_q >= 0
+                assert disc_w + disc_q < discriminant(v)
+                assert 0 < w.v1 - c.wall.center * w.v0 < top_v
+
+
 class TestUnboundedSearch:
     """a_max=None searches the whole half-line a >= a_min, and stays finite."""
 
@@ -394,7 +421,7 @@ class TestUnboundedSearch:
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_at_wall_height_bound(self, query):
         cfg, v, beta, a_min, _, strict = query
-        fast = enumerate_candidates(v, beta, a_min, None, cfg, strict=strict)
+        fast = enumerate_candidates(v, beta, a_min, None, cfg)
         top = _oracle_top(v, a_min, None, cfg)
         slow = brute_force_candidates(v, beta, a_min, top, cfg, strict=strict)
         assert _outputs(fast) == _outputs(slow)
@@ -402,10 +429,10 @@ class TestUnboundedSearch:
     @given(small_queries())
     @settings(max_examples=100, deadline=None)
     def test_matches_a_huge_top(self, query):
-        cfg, v, beta, a_min, _, strict = query
+        cfg, v, beta, a_min, _, _ = query
         args = (v, beta, a_min)
-        assert _outputs(enumerate_candidates(*args, None, cfg, strict=strict)) == _outputs(
-            enumerate_candidates(*args, 10**7, cfg, strict=strict)
+        assert _outputs(enumerate_candidates(*args, None, cfg)) == _outputs(
+            enumerate_candidates(*args, 10**7, cfg)
         )
 
     @given(small_queries())
