@@ -326,7 +326,7 @@ def _scenario_checks(s: Scenario) -> list[tuple[str, bool]]:
             results.append((f"{s.id}: nonnegative", valid and fn.check_nonnegative()))
         if s.expected_jumps:
             ok = valid and s.expected_jumps == {
-                r.x: r.derivative_jump for r in _breakpoint_reports(fn, groups)
+                r.x: r.derivative_jump for r in _breakpoint_reports(groups)
             }
             results.append((f"{s.id}: derivative jumps", ok))
     if s.expected_walls:
@@ -356,6 +356,9 @@ def regression_checks() -> list[tuple[str, bool]]:
     agree on that semicircle and nowhere else.  An invalid tree fails every
     row that needs its function.  Then discriminant-0 rigidity: four line
     bundle classes admit no candidate wall.
+
+    The continuity row is the only place `check` evaluates continuity:
+    assembly holds it by construction (see `hntree._assemble`).
     """
     results: list[tuple[str, bool]] = []
     for sid in list_scenarios():

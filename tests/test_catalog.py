@@ -12,7 +12,7 @@ from tiltwall.hntree import (
     trivial_chd,
 )
 from tiltwall.lattice import ChernClass
-from tiltwall.walls import enumerate_candidates
+from tiltwall.walls import Semicircle, enumerate_candidates
 from conftest import slope_crossing_oracle
 
 F = Fraction
@@ -102,6 +102,11 @@ _TWO_POINTS = catalog.load_scenario("ppas-ideal-2").tree
     # a one-leaf tree with a negative discriminant has no "tree valid" row
     ("ppas-ideal-1", TreeLeaf(ChernClass(2, 0, 1)),
      ["chd0 regression", "continuity", "nonnegative"]),
+    # a rank-0 leaf of negative degree, whose derivative jump is -sqrt(disc)
+    ("ppas-ideal-3-collinear",
+     TreeNode(ChernClass(2, 0, -3), Semicircle(F(2), F(1)),
+              [TreeLeaf(ChernClass(0, -2, -4)), TreeLeaf(ChernClass(2, 2, 1))]),
+     ["tree valid", "chd0 regression", "continuity", "nonnegative", "derivative jumps"]),
 ])
 def test_invalid_tree_fails_every_row_that_needs_its_function(monkeypatch, sid, tree, failing):
     monkeypatch.setattr(catalog.load_scenario(sid), "tree", tree)

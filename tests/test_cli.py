@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from tiltwall.cli import main
-from tiltwall.exactnum import QuadraticIrrational as QI
-from tiltwall.hntree import TreeNode, assemble_chd0, assemble_chd1, tree_to_json
-from tiltwall.lattice import ChernClass
+from tiltwall.exactnum import QuadraticIrrational as QI, format_rational
+from tiltwall.hntree import TreeLeaf, TreeNode, assemble_chd0, assemble_chd1, tree_to_json
+from tiltwall.lattice import ChernClass, class_add
 from tiltwall.svgplot import _Frame, _hyperbola_polyline
+from tiltwall.walls import Semicircle, wall_between
 from tiltwall import catalog
 from conftest import pointwise_csv, pointwise_function_polyline, pointwise_hyperbola_points
 
@@ -258,6 +263,19 @@ class TestValidateCommand:
             assert code == 1 and out == ""
             assert err.startswith("error: invalid tree: not well-ordered") and err.count("\n") == 1
 
+    def test_rank0_leaf_of_negative_degree_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "rank0.json"
+        path.write_text(json.dumps({
+            "class": [2, 0, "-3"],
+            "wall": {"center": "2", "radius_sq": "1"},
+            "children": [{"class": [0, -2, "-4"]}, {"class": [2, 2, "1"]}],
+        }))
+        violation = "root.0: leaf of rank 0 has negative degree -2"
+        assert run(capsys, "validate", "--tree", str(path)) == (1, f"violation: {violation}\n", "")
+        assert run(capsys, "chd", "--tree", str(path)) == (
+            1, "", f"error: invalid tree: {violation}\n"
+        )
+
     @pytest.mark.parametrize("data", [
         {"class": 5},
         {"class": [2, None, 1]},
@@ -380,3 +398,102 @@ class TestRemovedOptions:
         with pytest.raises(SystemExit) as e:
             main(["walls", "--class", "2,0,-25", "--beta", "-6", "--amin", "1/100", "--strict"])
         assert e.value.code == 2
+
+
+def _ppas_classes():
+    """ppas lattice classes of small rank and degree; rank 0 with either sign."""
+    even = st.integers(-3, 3).map(lambda k: 2 * k)
+    v2 = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
+    general = st.builds(ChernClass, even, even, v2)
+    rank0 = st.builds(ChernClass, st.just(0), st.sampled_from([-4, -2, 2, 4]), v2)
+    return st.one_of(general, rank0)
+
+
+@st.composite
+def _fuzz_trees(draw, depth=2):
+    """A tree whose nodes mostly have the sum of their children as class and
+    the wall between the node and its first child as wall."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return TreeLeaf(draw(_ppas_classes()))
+    children = draw(st.lists(_fuzz_trees(depth - 1), min_size=1, max_size=3))
+    cls = children[0].cls
+    for child in children[1:]:
+        cls = class_add(cls, child.cls)
+    if draw(st.integers(0, 5)) == 0:
+        cls = draw(_ppas_classes())
+    wall = wall_between(cls, children[0].cls)
+    if wall is None or draw(st.integers(0, 5)) == 0:
+        wall = Semicircle(
+            Fraction(draw(st.integers(-12, 12)), 2), Fraction(draw(st.integers(1, 40)), 4)
+        )
+    return TreeNode(cls, wall, children)
+
+
+_JUNK_TREES = [
+    {"class": [2, "x", 1]},
+    {"class": [0, 0, "1/0"]},
+    {"class": [2, 0, -2], "wall": {"center": "1"}, "children": [{"class": [2, 0, -2]}]},
+    {"class": [2, 0, -2], "wall": {"beta": "0"}, "children": []},
+    {"class": [2, 0, -2], "label": 7},
+    "tree",
+]
+
+_FUZZ_TREE_JSON = st.one_of(
+    _fuzz_trees().map(tree_to_json),
+    st.sampled_from(TREE_SCENARIOS).map(
+        lambda sid: tree_to_json(catalog.load_scenario(sid).tree)
+    ),
+    st.sampled_from(_JUNK_TREES),
+)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "tree.json"
+
+
+class TestTreeFuzz:
+    """Every tree file ends in exit 0, 1 or 2 with at most one error line."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=_FUZZ_TREE_JSON,
+        a=st.integers(0, 24).map(lambda k: format_rational(Fraction(k, 8))),
+        beta=st.integers(-48, 48).map(lambda k: format_rational(Fraction(k, 8))),
+    )
+    def test_validate_chd_and_hn_exit_cleanly(self, fuzz_path, data, a, beta):
+        fuzz_path.write_text(json.dumps(data))
+        tree = ["--tree", str(fuzz_path)]
+        # an exception escaping main would fail the test: that is the traceback
+        code, out, err = _call(["validate", *tree])
+        event(f"validate exits {code}")
+        if code == 0:
+            assert out == "tree is valid\n" and err == ""
+        elif code == 1:  # the violations are the report, one per line
+            assert err == "" and out
+            assert all(line.startswith("violation: ") for line in out.splitlines())
+        else:
+            assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        runs = [["hn", *tree, "--a", a, "--beta", beta]] + [
+            ["chd", *tree, "--k", k, "--format", fmt, "--samples", "7"]
+            for k in ("0", "1")
+            for fmt in ("table", "json", "csv", "svg")
+        ]
+        for argv in runs:
+            got, out, err = _call(argv)
+            assert got in (0, 1, 2), argv
+            if got == 0:
+                assert err == "" and out, argv
+                continue
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+            # an invalid tree exits 1 everywhere, a malformed one 2 everywhere,
+            # and a valid tree always has a chd0
+            assert (got == 1) is (code == 1), argv
+            assert argv[:5] != ["chd", *tree, "--k", "0"] or code != 0, argv

@@ -1,8 +1,11 @@
 """The behaviour contract: byte-identical output of the pinned commands.
 
-Each digest is the sha256 of a command's stdout, recorded before the
-crossing-height window became the only judge of which candidates reach the
-spectrum test.  A change that keeps the contract keeps every digest.
+Each digest is the sha256 of a command's stdout.  The `check`, `catalog` and
+`walls` digests were recorded before the crossing-height window became the
+only judge of which candidates reach the spectrum test; the `chd` digests,
+which pin the assembled chd0 and chd1 of every tree scenario, were recorded
+before assembly stopped re-checking its own output.  A change that keeps the
+contract keeps every digest.
 """
 
 import hashlib
@@ -55,6 +58,56 @@ CONTRACT = [
     # no top: 17 walls, the outermost at a = 805/4
     (("walls", "--class", "2,8,-51/2", "--beta", "-20", "--amin", "1/100", "--format", "json"),
      "d18a06845a0c20708a9d2a4ff8701fa53915a19b8280199b838673a77eb5a0f9"),
+    # chd0 and chd1 of every tree scenario, as assembled
+    *(
+        (("chd", "--scenario", sid, "--k", k, "--format", "json"), digest)
+        for sid, k, digest in [
+            ("abelian12-ideal-point", "0",
+             "17155f5bc187fb1248b5b5cfd333ef3c48fda0594f21a4ea0082f8962b1df4c8"),
+            ("abelian12-ideal-point", "1",
+             "6f1471f08ad5bd332363a956cd5ae9858e87491746c2bc680669c1f38caafcee"),
+            ("ppas-abel-jacobi", "0",
+             "969efbe225c122a61302d4625454e08e734ff56af2277d2a06455a4b49c3018f"),
+            ("ppas-abel-jacobi", "1",
+             "49b08c51240becaf1c82024a4c9e10f7ceb65017e503b2c232335c81edcbd9c7"),
+            ("ppas-ideal-1", "0",
+             "c9914d67f7ec6c073fb31656cc019525dd8eae62f9f00c3a9efdf2593814869c"),
+            ("ppas-ideal-1", "1",
+             "52c1b94bf7201b9d4d75d1bae7cc9e04d187c8bae3c6bd4795b94c635a2b02fa"),
+            ("ppas-ideal-2", "0",
+             "d4c0fc0d0198f89d70dbf54504d172ada7ffe097ae8963d2a5d4dc32ad9d9406"),
+            ("ppas-ideal-2", "1",
+             "8c84dda9d22b46f93a2c35fae61eec001980199fea9908963e95ab56081b480f"),
+            ("ppas-ideal-3-collinear", "0",
+             "ae189fd894ce9db39a585f07a3beaf3d43d07572ac0b79918df19462922fbea2"),
+            ("ppas-ideal-3-collinear", "1",
+             "c614c652ebc527bbf1c8f96aa8d137337242a162f9282d2f181657ae426e8c5a"),
+            ("ppas-ideal-3-generic", "0",
+             "cc34b338524504ab545a75bfe6c0ae3dc561c67b5f7609a4a9177a7f75152cbb"),
+            ("ppas-ideal-3-generic", "1",
+             "3d55726c0a05a7742f29fb16fd217b927a8d5dc8b5145a4dbcf421fd75c67b61"),
+            ("ppas-ideal-4-collinear", "0",
+             "a6b86528868ae675d7f23c61be16543efcc98c31569cbd61c3c9726996b36d50"),
+            ("ppas-ideal-4-collinear", "1",
+             "4058cd794e159643728c4d633ad8b0915b12472e2fd783d739e1d07ac5eb6fe4"),
+            ("ppas-ideal-4-generic", "0",
+             "93b557f4daba4a334a322c31d4b0df348c5abc60db31b050e69ac6401a81e7c3"),
+            ("ppas-ideal-4-generic", "1",
+             "9c52dea2746f3f6819611f5a215d05b6482cdc16956cfe3643bc98bbfa53a584"),
+            ("ppas-ideal-5-W2", "0",
+             "2ab227878ccd0becb6c5594e6c7991b42014562ec1a02255542c62b3c4dd03ba"),
+            ("ppas-ideal-5-W2", "1",
+             "d36e341533d10d395956f216b74ee74274c1cf2f27eac28719fbd958cef669c0"),
+            ("ppas-ideal-5-generic", "0",
+             "ea92a8f605e8b848dfaf51625dd60f411a3357fd6d65c558fb0228ad61cf0014"),
+            ("ppas-ideal-5-generic", "1",
+             "07bebfc5fd611305a866c530fc4a1184716c2eef27b0d5bf749783d795d00fc1"),
+            ("ppas-structure-sheaf", "0",
+             "49d4fa77e8c234a36379d54ae53bbe59a6fe07447a85088b483737afb0c9a3f5"),
+            ("ppas-structure-sheaf", "1",
+             "5eca86d06fadc7b2192d719faeaa07c88416d53d8bb36a87aa2a4e9be3e29932"),
+        ]
+    ),
 ]
 
 
@@ -69,3 +122,9 @@ def test_output_is_byte_identical(capsys, argv, digest):
 def test_every_scenario_export_is_pinned():
     pinned = [argv[2] for argv, _ in CONTRACT if argv[0] == "catalog"]
     assert pinned == catalog.list_scenarios()
+
+
+def test_every_tree_scenario_function_is_pinned():
+    pinned = [(argv[2], argv[4]) for argv, _ in CONTRACT if argv[0] == "chd"]
+    trees = [sid for sid in catalog.list_scenarios() if catalog.load_scenario(sid).tree]
+    assert pinned == [(sid, k) for sid in trees for k in ("0", "1")]

@@ -1,11 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltwall.exactnum import QuadPoly, QuadraticIrrational as QI
+from tiltwall.exactnum import QuadPoly, QuadraticIrrational as QI, quad_eval
 from tiltwall.hntree import (
     InvalidTreeError,
     PiecewiseQuadratic,
@@ -22,8 +23,15 @@ from tiltwall.hntree import (
     trivial_chd,
     validate_tree,
 )
-from tiltwall.lattice import ChernClass, chd_polynomial
-from tiltwall.walls import Semicircle, wall_between
+from tiltwall.lattice import (
+    ChernClass,
+    SurfaceConfig,
+    chd_polynomial,
+    class_sub,
+    discriminant,
+    mu_slope,
+)
+from tiltwall.walls import Nesting, Semicircle, enumerate_candidates, nesting, wall_between
 from tiltwall import catalog
 from conftest import chd0_value_by_factors, mutated_trees
 
@@ -106,6 +114,26 @@ class TestValidation:
         tree = TreeNode(root, wall_between(root, neg), [TreeLeaf(neg), TreeLeaf(other)])
         assert validate_tree(tree).violations == ["root.0: discriminant is negative"]
         assert validate_tree(TreeLeaf(neg)).violations == ["root: discriminant is negative"]
+
+    def test_rank0_leaf_of_negative_degree(self):
+        # every other check passes: the leaves sum to the root, both walls are
+        # (center 2, radius_sq 1), and the intercepts -2 >= -1 are in order;
+        # the assembled chd0 would be -1 at x = -3/2
+        tree = TreeNode(
+            ChernClass(2, 0, -3),
+            Semicircle(F(2), F(1)),
+            [TreeLeaf(ChernClass(0, -2, -4)), TreeLeaf(ChernClass(2, 2, 1))],
+        )
+        assert validate_tree(tree).violations == [
+            "root.0: leaf of rank 0 has negative degree -2"
+        ]
+        for fn in (assemble_chd0, assemble_chd1, classify_breakpoints):
+            with pytest.raises(InvalidTreeError, match="root.0: leaf of rank 0"):
+                fn(tree)
+
+    def test_rank0_leaf_without_degree_has_no_intercept(self):
+        violations = validate_tree(TreeLeaf(ChernClass(0, 0, 1))).violations
+        assert len(violations) == 1 and violations[0].startswith("root: leaf has no intercept")
 
     def test_json_round_trip(self):
         tree = n4_tree()
@@ -327,10 +355,10 @@ class TestAssembly:
         assert outcomes == {True, False}
 
     def test_broken_invariant_raises_not_asserts(self, monkeypatch):
-        # explicit checks, so they also hold under python -O
-        monkeypatch.setattr(PiecewiseQuadratic, "check_continuity", lambda self: False)
-        with pytest.raises(RuntimeError, match="discontinuous"):
-            assemble_chd0(n4_tree())
+        # an explicit check, so it also holds under python -O
+        monkeypatch.setattr(PiecewiseQuadratic, "check_nonnegative", lambda self: False)
+        with pytest.raises(ValueError, match="chd1 is negative"):
+            assemble_chd1(n4_tree())
 
     def test_chd1_alternating_identity(self):
         tree = n4_tree()
@@ -398,14 +426,6 @@ class TestBreakpointReports:
             assert len(reported) == len(leaves)
             assert all(a is b for a, b in zip(reported, leaves))
 
-    def test_jump_mismatch_raises(self, monkeypatch):
-        import tiltwall.hntree as hntree
-
-        monkeypatch.setattr(hntree, "quad_eval", lambda p, x: QI(0))
-        tree = catalog.load_scenario("ppas-ideal-3-collinear").tree
-        with pytest.raises(RuntimeError, match="derivative jump"):
-            classify_breakpoints(tree)
-
     def test_jump_matches_piece_derivatives(self):
         for sid in catalog.list_scenarios():
             scenario = catalog.load_scenario(sid)
@@ -415,11 +435,102 @@ class TestBreakpointReports:
             for i, report in enumerate(classify_breakpoints(scenario.tree)):
                 left = fn.pieces[i].derivative()
                 right = fn.pieces[i + 1].derivative()
-                from tiltwall.exactnum import quad_eval
-
                 assert quad_eval(right, report.x) - quad_eval(left, report.x) == (
                     report.derivative_jump
                 )
+
+
+def _split(rng, v, cfg, beta, parent_wall, depth):
+    """v as a leaf, or split along one of its walls through beta, strictly
+    nested in parent_wall, into a witness and its complement in random order;
+    each child splits again at the centre of that wall, where both are in the
+    heart."""
+    if depth == 0 or rng.random() < 0.25:
+        return TreeLeaf(v)
+    cands = enumerate_candidates(v, beta, F(1, 20), None, cfg)
+    if parent_wall is not None:
+        cands = [
+            c for c in cands
+            if nesting(c.wall, parent_wall).relation is Nesting.NESTED
+            and c.wall.radius_sq < parent_wall.radius_sq
+        ]
+    if not cands:
+        return TreeLeaf(v)
+    c = rng.choice(cands)
+    w = rng.choice(c.witnesses)
+    pair = [w, class_sub(v, w)]
+    rng.shuffle(pair)
+    children = [_split(rng, u, cfg, c.wall.center, c.wall, depth - 1) for u in pair]
+    return TreeNode(v, c.wall, children)
+
+
+def enumerated_trees(seed: int, count: int) -> list[tuple[str, TreeNode]]:
+    """count trees of depth <= 2 that validate_tree accepts, split along the
+    walls and witnesses of enumerate_candidates, on both presets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        cfg = SurfaceConfig.preset(rng.choice(["ppas", "abelian-(1,2)"]))
+        den = cfg.v2_denominator
+        v = ChernClass(
+            cfg.v0_step * rng.randint(1, 2),
+            cfg.v1_step * rng.randint(-2, 2),
+            F(rng.randint(-6 * den, 0), den),
+        )
+        if discriminant(v) <= 0:
+            continue
+        beta = mu_slope(v) - F(rng.randint(1, 6), rng.randint(1, 3))
+        tree = _split(rng, v, cfg, beta, None, 2)
+        if isinstance(tree, TreeNode) and validate_tree(tree):
+            out.append((cfg.name, tree))
+    return out
+
+
+ENUMERATED_TREES = enumerated_trees(seed=7, count=60)
+
+
+class TestCorrectByConstruction:
+    """The three facts `_assemble` and `_breakpoint_reports` prove instead of
+    re-checking, on trees driven by the wall enumerator."""
+
+    def test_pool_covers_both_presets_and_depth_two(self):
+        presets = {name for name, _ in ENUMERATED_TREES}
+        assert presets == {"ppas", "abelian-(1,2)"}
+        assert any(
+            isinstance(child, TreeNode) for _, tree in ENUMERATED_TREES for child in tree.children
+        )
+
+    @pytest.mark.parametrize("index", range(len(ENUMERATED_TREES)))
+    def test_continuity_last_piece_and_jumps(self, index):
+        _, tree = ENUMERATED_TREES[index]
+        fn = assemble_chd0(tree)
+        assert fn.check_continuity()
+        assert fn.pieces[-1] == chd_polynomial(tree.cls)
+        reports = classify_breakpoints(tree)
+        assert [r.x for r in reports] == fn.breakpoints
+        for i, report in enumerate(reports):
+            left = fn.pieces[i].derivative()
+            right = fn.pieces[i + 1].derivative()
+            assert quad_eval(right, report.x) - quad_eval(left, report.x) == (
+                report.derivative_jump
+            )
+
+    @pytest.mark.parametrize("index", range(len(ENUMERATED_TREES)))
+    def test_grafted_rank0_leaf_of_negative_degree_is_refused(self, index):
+        # split the first leaf G into G - t and t, t of rank 0 and negative degree
+        tree = tree_from_json(tree_to_json(ENUMERATED_TREES[index][1]))
+        parent, path = tree, "root"
+        while isinstance(parent.children[0], TreeNode):
+            parent, path = parent.children[0], path + ".0"
+        g = parent.children[0].cls
+        t = ChernClass(0, -2, F(-1, 2))
+        parent.children[0] = TreeNode(
+            g, wall_between(g, t), [TreeLeaf(class_sub(g, t)), TreeLeaf(t)]
+        )
+        violation = f"{path}.0.1: leaf of rank 0 has negative degree -2"
+        assert violation in validate_tree(tree).violations
+        with pytest.raises(InvalidTreeError, match=re.escape(violation)):
+            classify_breakpoints(tree)
 
 
 class TestSerreDual:
