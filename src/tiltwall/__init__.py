@@ -1,12 +1,6 @@
 """Exact wall-and-chamber computations for tilt stability on polarized surfaces."""
 
-from .exactnum import (
-    QuadPoly,
-    QuadraticIrrational,
-    parse_quadratic_irrational,
-    quad_eval,
-    quad_roots,
-)
+from .exactnum import QuadPoly, QuadraticIrrational, quad_eval
 from .hntree import (
     PiecewiseQuadratic,
     TreeLeaf,
@@ -62,9 +56,7 @@ __all__ = [
     "mu_slope",
     "nesting",
     "p_intercept",
-    "parse_quadratic_irrational",
     "quad_eval",
-    "quad_roots",
     "tilt_slope",
     "tree_from_json",
     "tree_to_json",

@@ -27,8 +27,8 @@ from .hntree import (
     _assemble,
     _breakpoint_reports,
 )
-from .lattice import ChernClass, SurfaceConfig, discriminant, line_bundle_class, mu_slope
-from .walls import Semicircle, _crosses_exactly_along, enumerate_candidates, wall_a_at
+from .lattice import ChernClass, SurfaceConfig, discriminant, line_bundle_class, mu_slope, twist
+from .walls import Semicircle, enumerate_candidates, wall_a_at
 
 QI = QuadraticIrrational
 F = Fraction
@@ -308,6 +308,33 @@ def load_scenario(scenario_id: str) -> Scenario:
         return _SCENARIOS[scenario_id]
     except KeyError:
         raise KeyError(f"unknown scenario: {scenario_id!r}") from None
+
+
+def _crosses_exactly_along(v: ChernClass, w: ChernClass, wall: Semicircle) -> bool:
+    """Whether the tilt slopes of v and w agree on wall and nowhere else.
+
+    With E(beta, a) = (ch2^beta(v) - a*v0)*ch1^beta(w) - (ch2^beta(w) -
+    a*w0)*ch1^beta(v) = (nu(v) - nu(w))*ch1^beta(v)*ch1^beta(w),
+    D = w0*v1 - v0*w1 and G = (beta - center)^2 + 2a - radius_sq, the slopes
+    cross exactly along the wall iff D != 0 and E = (D/2)*G as polynomials;
+    D = 0 with E = 0 would mean proportional classes, equal everywhere.
+    E - (D/2)*G has degree at most 3 in beta and at most 1 in a, so it is
+    zero iff it vanishes at four values of beta for each of two values of a.
+    (Its beta^3, beta^2 and a terms cancel identically, so fewer would do.)
+    E comes from ``twist``, independently of the formula in
+    ``walls.wall_between``.
+    """
+    d = w.v0 * v.v1 - v.v0 * w.v1
+    if d == 0:
+        return False
+    for beta in range(4):
+        tv, tw = twist(v, beta), twist(w, beta)
+        for a in range(2):
+            e = (tv.t2 - a * tv.t0) * tw.t1 - (tw.t2 - a * tw.t0) * tv.t1
+            g = (beta - wall.center) ** 2 + 2 * a - wall.radius_sq
+            if e != Fraction(d, 2) * g:
+                return False
+    return True
 
 
 def _scenario_checks(s: Scenario) -> list[tuple[str, bool]]:

@@ -5,21 +5,21 @@ Quadratic irrationals are values a + b*sqrt(d) with rational a, b and
 squarefree d >= 0, canonicalized so that b == 0 iff d == 0.  All comparisons
 are exact; no floating point is used anywhere in this module.
 
-The cost of a ring operation does not depend on the radicand.  Only the
-public constructor and `QuadraticIrrational.sqrt` factor a radicand, and
-`squarefree_decompose` trial-divides only up to the cube root of the
-cofactor.  The ring operations combine canonical operands of one field
-Q(sqrt(d)), so their results are built by the trusted constructor
-`QuadraticIrrational._canonical`, which never factors.
+Every irrational is born in `QuadraticIrrational.sqrt`, the only place that
+factors a radicand; the constructor `QuadraticIrrational(a)` only embeds a
+rational.  The cost of a ring operation does not depend on the radicand:
+the ring operations combine canonical operands of one field Q(sqrt(d)), so
+their results are built by the trusted constructor
+`QuadraticIrrational._canonical`, which never factors.  `squarefree_decompose`
+trial-divides only up to the cube root of the cofactor.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 RationalLike = Union[int, Fraction]
 
@@ -76,27 +76,18 @@ def parse_rational(text: str) -> Fraction:
 class QuadraticIrrational:
     """Exact real value a + b*sqrt(d), with d a squarefree nonnegative integer.
 
-    Canonical form (enforced on construction): d squarefree, and b == 0 iff
-    d == 0.  Equality is then structural.  Instances are immutable.
+    Canonical form: d squarefree and not 1, and b == 0 iff d == 0.  Equality
+    is then structural.  Instances are immutable.  `QuadraticIrrational(a)`
+    embeds the rational a; an irrational is built from `sqrt` and the ring
+    operations, for example `1 + 2 * QuadraticIrrational.sqrt(5)`.
     """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a: RationalLike, b: RationalLike = 0, d: int = 0):
-        a = Fraction(a)
-        b = Fraction(b)
-        if d < 0:
-            raise ValueError("radicand must be nonnegative")
-        if b == 0 or d == 0:
-            b, d = Fraction(0), 0
-        else:
-            s, d0 = squarefree_decompose(d)
-            b, d = b * s, d0
-            if d == 1:
-                a, b, d = a + b, Fraction(0), 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+    def __init__(self, a: RationalLike):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(0))
+        object.__setattr__(self, "d", 0)
 
     @classmethod
     def _canonical(cls, a: Fraction, b: Fraction, d: int) -> "QuadraticIrrational":
@@ -111,7 +102,8 @@ class QuadraticIrrational:
           squarefree and never 1.  A sum or product whose irrational part
           cancels (say a conjugate product) is rational and collapses here.
         - `sqrt`: d is the squarefree part returned by its one decomposition
-          of num*den, with d == 1 handled there as a rational root.
+          of num*den, with d == 1 handled there as a rational root.  It is
+          the only caller that factors, so every irrational starts there.
         """
         if b == 0:
             d = 0
@@ -288,32 +280,10 @@ class QuadraticIrrational:
         return f"{format_rational(self.a)}{sign}{format_rational(abs(self.b))}*sqrt({self.d})"
 
     def __repr__(self):
-        return f"QuadraticIrrational({self.a!r}, {self.b!r}, {self.d})"
-
-
-_QI_RE = re.compile(
-    r"^\s*(?P<a>-?\d+(?:/\d+)?)\s*"
-    r"(?:(?P<sign>[+-])\s*(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt\(\s*(?P<d>\d+)\s*\))?\s*$"
-)
-
-
-def parse_quadratic_irrational(text: str) -> QuadraticIrrational:
-    """Parse "a+b*sqrt(d)" or a bare rational "p/q"."""
-    m = _QI_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse quadratic irrational: {text!r}")
-    a = Fraction(m.group("a"))
-    if m.group("b") is None:
-        return QuadraticIrrational(a)
-    b = Fraction(m.group("b"))
-    if m.group("sign") == "-":
-        b = -b
-    return QuadraticIrrational(a, b, int(m.group("d")))
-
-
-class Root(NamedTuple):
-    value: QuadraticIrrational
-    multiplicity: int
+        rational = f"QuadraticIrrational({self.a!r})"
+        if self.d == 0:
+            return rational
+        return f"{rational} + {self.b!r} * QuadraticIrrational.sqrt({self.d})"
 
 
 @dataclass(frozen=True)
@@ -366,25 +336,3 @@ def quad_eval(p: QuadPoly, x) -> QuadraticIrrational:
     if x is NotImplemented:
         raise TypeError("quad_eval expects a QuadraticIrrational or rational")
     return x * x * p.c2 + x * p.c1 + QuadraticIrrational(p.c0)
-
-
-def quad_roots(p: QuadPoly) -> list[Root]:
-    """Exact real roots of p, sorted ascending; double roots reported once.
-
-    Raises ValueError on the identically-zero polynomial.
-    """
-    if p.is_zero:
-        raise ValueError("indeterminate roots: polynomial is identically zero")
-    if p.c2 == 0:
-        if p.c1 == 0:
-            return []  # nonzero constant
-        return [Root(QuadraticIrrational(-p.c0 / p.c1), 1)]
-    disc = p.c1 * p.c1 - 4 * p.c0 * p.c2
-    if disc < 0:
-        return []
-    inv = 1 / (2 * p.c2)
-    center = QuadraticIrrational(-p.c1 * inv)
-    if disc == 0:
-        return [Root(center, 2)]
-    half_width = QuadraticIrrational.sqrt(disc * inv * inv)  # > 0: roots come out sorted
-    return [Root(center - half_width, 1), Root(center + half_width, 1)]

@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactnum import (
-    QuadPoly,
-    QuadraticIrrational,
-    format_rational,
-    parse_quadratic_irrational,
-    quad_eval,
-)
+from .exactnum import QuadPoly, QuadraticIrrational, format_rational, quad_eval
 from .lattice import (
     ChernClass,
     chd_polynomial,
@@ -48,10 +42,6 @@ QI = QuadraticIrrational
 class TreeLeaf:
     cls: ChernClass
     label: str = ""
-
-    @property
-    def p(self) -> QI:
-        return p_intercept(self.cls).value
 
 
 @dataclass
@@ -88,6 +78,12 @@ def tree_to_json(tree: HNTree) -> dict:
 
 
 def tree_from_json(data: dict) -> HNTree:
+    """The tree of `tree_to_json` form; malformed data raises ValueError.
+
+    A node is internal exactly when it has "children", and then it needs a
+    "wall"; a leaf may carry a string "label".  Nothing is dropped silently: a
+    "wall" without "children" and a label that is not a string are refused.
+    """
     if not isinstance(data, dict) or "class" not in data:
         raise ValueError('tree node must be a JSON object with a "class" entry')
     cls = ChernClass.from_json(data["class"])
@@ -99,7 +95,12 @@ def tree_from_json(data: dict) -> HNTree:
             wall_from_json(data["wall"]),
             [tree_from_json(c) for c in data["children"]],
         )
-    return TreeLeaf(cls, data.get("label", ""))
+    if "wall" in data:
+        raise ValueError(f'tree node {cls} has a "wall" but no "children" list')
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"tree leaf {cls} has a label that is not a string: {label!r}")
+    return TreeLeaf(cls, label)
 
 
 @dataclass
@@ -149,7 +150,7 @@ def _walk(tree: HNTree) -> tuple[list[str], list[tuple[Optional[QI], TreeLeaf]]]
                 violations.append(f"{path}: leaf of rank 0 has negative degree {node.cls.v1}")
             if disc >= 0:
                 try:
-                    p = node.p
+                    p = p_intercept(node.cls)
                 except ValueError as exc:
                     violations.append(f"{path}: leaf has no intercept ({exc})")
             leaves.append((p, node))
@@ -348,18 +349,6 @@ class PiecewiseQuadratic:
             data["domain_start"] = str(self.domain_start)
         return data
 
-    @classmethod
-    def from_json(cls, data: dict) -> "PiecewiseQuadratic":
-        return cls(
-            [parse_quadratic_irrational(b) for b in data["breakpoints"]],
-            [QuadPoly(Fraction(c0), Fraction(c1), Fraction(c2)) for c0, c1, c2 in data["pieces"]],
-            domain_start=(
-                parse_quadratic_irrational(data["domain_start"])
-                if "domain_start" in data
-                else None
-            ),
-        )
-
 
 def _quad_nonneg_on(p: QuadPoly, lo: Optional[QI], hi: Optional[QI]) -> bool:
     if p.is_zero:
@@ -489,10 +478,9 @@ def _breakpoint_reports(groups: list[tuple[QI, list[TreeLeaf]]]) -> list[Breakpo
     Jump.  The derivative of the assembled chd0 jumps at x_k by the sum of
     chd(G)'(x_k) = v1 - v0*p_G over the leaves G switched on there (see
     `_assemble`), and each term is sqrt(disc(G)), so the reported sum is the
-    jump of the pieces.  For v0 != 0 the roots of
-    ch2^beta(G) = (v0/2)*beta^2 - v1*beta + v2 are (v1 -+ sqrt(disc))/v0, and
-    p_G = (v1 - sqrt(disc))/v0 is the smaller root when v0 > 0 and the larger
-    one when v0 < 0, as `p_intercept` chooses; so v1 - v0*p_G = sqrt(disc).
+    jump of the pieces.  For v0 != 0, `p_intercept` computes
+    p_G = (v1 - sqrt(disc))/v0, a root of ch2^beta(G) = (v0/2)*beta^2 -
+    v1*beta + v2 (whose discriminant is disc(G)); so v1 - v0*p_G = sqrt(disc).
     For v0 = 0, p_G = v2/v1 and the term is v1, which equals sqrt(disc) = |v1|
     exactly when v1 > 0: the walk refuses a leaf of rank 0 with v1 < 0, and
     one with v1 = 0 has no intercept.

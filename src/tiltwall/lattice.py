@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .exactnum import QuadPoly, QuadraticIrrational, format_rational, parse_rational, quad_roots
+from .exactnum import QuadPoly, QuadraticIrrational, format_rational, parse_rational
 
 INF = math.inf  # +infinity slope marker
 
@@ -169,26 +169,24 @@ def chd_polynomial(v: ChernClass) -> QuadPoly:
     return QuadPoly(v.v2, v.v1, Fraction(v.v0, 2))
 
 
-class PIntercept(NamedTuple):
-    value: QuadraticIrrational
-    double: bool
+def p_intercept(v: ChernClass) -> QuadraticIrrational:
+    """Beta-intercept p_v of the hyperbola of v at alpha = 0, in closed form.
 
-
-def p_intercept(v: ChernClass) -> PIntercept:
-    """Beta-intercept of the hyperbola of v at alpha = 0.
-
-    For v0 > 0 the smaller root of ch2^beta(v) = 0 in beta, for v0 < 0 the
-    larger root, for v0 = 0 the single value v2/v1.  The flag marks double
-    roots (disc = 0 with v0 != 0).
+    ch2^beta(v) = (v0/2)*beta^2 - v1*beta + v2 has discriminant disc(v).  For
+    v0 != 0 its roots are (v1 -+ sqrt(disc))/v0, and p_v = (v1 - sqrt(disc))/v0:
+    the smaller root when v0 > 0, the larger one when v0 < 0.  So
+    v1 - v0*p_v = sqrt(disc), the derivative jump of chd0 at -p_v (see
+    `hntree._breakpoint_reports`).  For v0 = 0 the equation is linear and
+    p_v = v2/v1.  The one square root is `QuadraticIrrational.sqrt(disc)`.
     """
-    if v.v0 == 0 and v.v1 == 0:
-        raise ValueError("no hyperbola: v0 = v1 = 0")
-    # ch2^beta(v) = v2 - v1*beta + (v0/2)*beta^2, whose discriminant is disc(v)
-    roots = quad_roots(QuadPoly(v.v2, -v.v1, Fraction(v.v0, 2)))
-    if not roots:
+    if v.v0 == 0:
+        if v.v1 == 0:
+            raise ValueError("no hyperbola: v0 = v1 = 0")
+        return QuadraticIrrational(v.v2 / v.v1)
+    disc = discriminant(v)
+    if disc < 0:
         raise ValueError("no real intercept: negative discriminant")
-    value, multiplicity = roots[0] if v.v0 > 0 else roots[-1]
-    return PIntercept(value, multiplicity == 2)
+    return (v.v1 - QuadraticIrrational.sqrt(disc)) * Fraction(1, v.v0)
 
 
 def class_add(v: ChernClass, w: ChernClass) -> ChernClass:

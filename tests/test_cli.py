@@ -281,13 +281,16 @@ class TestValidateCommand:
         {"class": [2, None, 1]},
         [1, 2, 3],
         {"class": [2, 0, -2], "children": 3},
+        {"class": [2, 0, "-2"], "wall": {"center": "1", "radius_sq": "1"}},  # wall, no children
+        {"class": [2, 0, "-2"], "label": 7},
     ])
     def test_malformed_tree_exits_2(self, tmp_path, capsys, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        code, out, err = run(capsys, "validate", "--tree", str(path))
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for argv in (["validate"], ["chd"], ["hn", "--a", "1/100", "--beta", "-1"]):
+            code, out, err = run(capsys, *argv, "--tree", str(path))
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 class TestHnCommand:

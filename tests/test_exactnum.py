@@ -9,15 +9,17 @@ from tiltwall import exactnum
 from tiltwall.exactnum import (
     QuadPoly,
     QuadraticIrrational as QI,
-    parse_quadratic_irrational,
     quad_eval,
-    quad_roots,
     squarefree_decompose,
 )
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
 )
+
+
+def parts(x: QI) -> tuple:
+    return (x.a, x.b, x.d)
 
 
 class TestSquarefreeDecompose:
@@ -78,28 +80,35 @@ class TestSquarefreeDecompose:
 
 
 class TestCanonicalForm:
+    def test_constructor_embeds_one_rational(self):
+        x = QI(Fraction(3, 2))
+        assert parts(x) == (Fraction(3, 2), 0, 0) and x.is_rational
+        with pytest.raises(TypeError):
+            QI(0, 1, 2)
+
     def test_square_radicand_collapses(self):
-        assert QI(0, 2, 4) == QI(4)
-        assert QI(1, 3, 1) == QI(4)
+        assert parts(QI.sqrt(4)) == (2, 0, 0)
+        assert parts(QI.sqrt(Fraction(9, 4))) == (Fraction(3, 2), 0, 0)
+        assert 1 + 3 * QI.sqrt(1) == QI(4)
 
     def test_square_factor_extracted(self):
-        assert QI(0, 1, 8) == QI(0, 2, 2)
-        assert QI(0, 1, 45) == QI(0, 3, 5)
+        assert parts(QI.sqrt(8)) == (0, 2, 2)
+        assert parts(QI.sqrt(45)) == (0, 3, 5)
+        assert QI.sqrt(8) == 2 * QI.sqrt(2)
 
     def test_zero_coefficient_clears_radicand(self):
-        x = QI(3, 0, 7)
+        x = 3 + 0 * QI.sqrt(7)
         assert x.d == 0 and x.is_rational
 
     def test_sqrt(self):
         assert QI.sqrt(4) == QI(2)
-        assert QI.sqrt(8) == QI(0, 2, 2)
-        assert QI.sqrt(Fraction(1, 2)) == QI(0, Fraction(1, 2), 2)
+        assert parts(QI.sqrt(Fraction(1, 2))) == (0, Fraction(1, 2), 2)
         assert QI.sqrt(0) == QI(0)
         with pytest.raises(ValueError):
             QI.sqrt(-1)
 
     def test_immutable(self):
-        x = QI(1, 1, 2)
+        x = 1 + QI.sqrt(2)
         with pytest.raises(AttributeError):
             x.a = Fraction(2)
 
@@ -107,14 +116,14 @@ class TestCanonicalForm:
 class TestSignAndOrder:
     def test_both_negative_case(self):
         # -2 vs -sqrt(5): squaring flips, -2 is larger
-        assert QI(-2) > QI(0, -1, 5)
-        assert (QI(-2) - QI(0, -1, 5)).sign() == 1
+        assert QI(-2) > -QI.sqrt(5)
+        assert (QI(-2) + QI.sqrt(5)).sign() == 1
 
     def test_sign_cases(self):
         assert QI(0).sign() == 0
-        assert QI(1, -1, 2).sign() < 0  # 1 - 1.414...
-        assert QI(2, -1, 2).sign() > 0
-        assert QI(-1, 1, 2).sign() > 0
+        assert (1 - QI.sqrt(2)).sign() < 0  # 1 - 1.414...
+        assert (2 - QI.sqrt(2)).sign() > 0
+        assert (-1 + QI.sqrt(2)).sign() > 0
         assert (QI(2) - QI.sqrt(4)).sign() == 0
 
     def test_cross_field_compare(self):
@@ -125,7 +134,7 @@ class TestSignAndOrder:
     def test_cross_field_compare_refines(self, monkeypatch):
         # 1.41421356757 against sqrt(2) = 1.41421356237: the 16-bit
         # enclosures overlap, the 32-bit ones are disjoint
-        x, y = QI(Fraction(-31783724, 10**8), 1, 3), QI(0, 1, 2)
+        x, y = Fraction(-31783724, 10**8) + QI.sqrt(3), QI.sqrt(2)
         bits_used = []
         enclosure = QI._enclosure
 
@@ -140,14 +149,14 @@ class TestSignAndOrder:
     @given(rationals, st.fractions(min_value=-10, max_value=10, max_denominator=16),
            st.integers(min_value=0, max_value=50))
     def test_sign_matches_float(self, a, b, d):
-        x = QI(a, b, d)
+        x = a + b * QI.sqrt(d)
         approx = float(x)
         if abs(approx) > 1e-9:
             assert x.sign() == (1 if approx > 0 else -1)
 
     @given(rationals, rationals)
     def test_order_antisymmetry(self, a, b):
-        x, y = QI(a, 1, 2), QI(b, 1, 3)
+        x, y = a + QI.sqrt(2), b + QI.sqrt(3)
         assert x.compare(y) == -y.compare(x)
 
     def test_different_field_arithmetic_rejected(self):
@@ -158,19 +167,19 @@ class TestSignAndOrder:
 class TestArithmetic:
     @given(rationals, rationals, rationals, rationals)
     def test_ring_ops_match_float(self, a1, b1, a2, b2):
-        x, y = QI(a1, b1, 5), QI(a2, b2, 5)
+        x, y = a1 + b1 * QI.sqrt(5), a2 + b2 * QI.sqrt(5)
         assert math.isclose(float(x + y), float(x) + float(y), abs_tol=1e-6)
         assert math.isclose(float(x * y), float(x) * float(y), abs_tol=1e-4)
         assert math.isclose(float(x - y), float(x) - float(y), abs_tol=1e-6)
 
     def test_rational_mixing(self):
-        assert QI.sqrt(2) * 2 == QI(0, 2, 2)
-        assert 1 + QI.sqrt(2) == QI(1, 1, 2)
-        assert 3 - QI.sqrt(2) == QI(3, -1, 2)
+        assert parts(QI.sqrt(2) * 2) == (0, 2, 2)
+        assert parts(1 + QI.sqrt(2)) == (1, 1, 2)
+        assert parts(3 - QI.sqrt(2)) == (3, -1, 2)
 
     def test_conjugate_product_is_rational(self):
-        x = QI(3, 2, 7)
-        assert x * QI(3, -2, 7) == QI(9 - 4 * 7)
+        x = 3 + 2 * QI.sqrt(7)
+        assert x * (3 - 2 * QI.sqrt(7)) == QI(9 - 4 * 7)
 
 
 class TestCanonicalOps:
@@ -178,98 +187,72 @@ class TestCanonicalOps:
 
     def test_ring_ops_never_decompose(self, monkeypatch):
         d = self.BIG_PRIME
-        x, y = QI(Fraction(1, 3), 2, d), QI(-5, Fraction(7, 2), d)
-        conj = QI(x.a, -x.b, d)
+        r = QI.sqrt(d)
+        x, y = Fraction(1, 3) + 2 * r, -5 + Fraction(7, 2) * r
         p = QuadPoly(1, -2, 3)
 
         def refuse(n):
             raise RuntimeError(f"ring op factored radicand {n}")
 
         monkeypatch.setattr(exactnum, "squarefree_decompose", refuse)
+        conj = x.a - x.b * r
         sums = [x + y, x - y, -x, 3 - x, x + Fraction(1, 2)]
         products = [x * y, 2 * x, x * conj, quad_eval(p, x), quad_eval(p, 7)]
         monkeypatch.undo()
-        assert sums == [
-            QI(Fraction(-14, 3), Fraction(11, 2), d),
-            QI(Fraction(16, 3), Fraction(-3, 2), d),
-            QI(Fraction(-1, 3), -2, d),
-            QI(Fraction(8, 3), -2, d),
-            QI(Fraction(5, 6), 2, d),
+        assert [parts(z) for z in sums] == [
+            (Fraction(-14, 3), Fraction(11, 2), d),
+            (Fraction(16, 3), Fraction(-3, 2), d),
+            (Fraction(-1, 3), -2, d),
+            (Fraction(8, 3), -2, d),
+            (Fraction(5, 6), 2, d),
         ]
-        assert products[:3] == [
-            QI(Fraction(-5, 3) + 7 * d, Fraction(-10 + Fraction(7, 6)), d),
-            QI(Fraction(2, 3), 4, d),
-            QI(Fraction(1, 9) - 4 * d),
+        assert [parts(z) for z in products[:3]] == [
+            (Fraction(-5, 3) + 7 * d, Fraction(-10 + Fraction(7, 6)), d),
+            (Fraction(2, 3), 4, d),
+            (Fraction(1, 9) - 4 * d, 0, 0),
         ]
-        assert products[3] == p.eval_rational(x.a) + QI(0, x.b, d) * (
+        assert products[3] == p.eval_rational(x.a) + x.b * r * (
             p.c1 + 2 * p.c2 * x.a
         ) + p.c2 * x.b * x.b * d
         assert products[4] == QI(p.eval_rational(7))
 
     @given(rationals, rationals, rationals, rationals,
            st.integers(min_value=0, max_value=10**6))
-    def test_results_equal_public_rebuild(self, a1, b1, a2, b2, d):
-        x, y = QI(a1, b1, d), QI(a2, b2, d)
-        conj = QI(x.a, -x.b, x.d)
+    def test_results_are_canonical(self, a1, b1, a2, b2, d):
+        x, y = a1 + b1 * QI.sqrt(d), a2 + b2 * QI.sqrt(d)
+        conj = x.a - x.b * QI.sqrt(x.d)
         results = [
             x + y, x - y, -x, x * y, x * conj, x + a2, a2 - x, x * a2,
             quad_eval(QuadPoly(a2, b2, a1), x), QI.sqrt(abs(a1)),
         ]
         assert results[4].is_rational
         assert results[-1] * results[-1] == QI(abs(a1))
-        for r in results:
-            rebuilt = QI(r.a, r.b, r.d)
-            assert (r.a, r.b, r.d) == (rebuilt.a, rebuilt.b, rebuilt.d)
-            assert type(r.a) is Fraction and type(r.b) is Fraction and type(r.d) is int
-            assert hash(r) == hash(rebuilt)
+        for z in results:
+            assert type(z.a) is Fraction and type(z.b) is Fraction and type(z.d) is int
+            # b = 0 iff d = 0, and d is squarefree and not 1
+            assert (z.b == 0) is (z.d == 0) and z.d != 1
+            assert z.d == 0 or squarefree_decompose(z.d)[0] == 1
+            assert z.d != 0 or hash(z) == hash(z.a)
 
 
-class TestParseFormat:
-    @given(rationals, st.fractions(min_value=-10, max_value=10, max_denominator=16),
-           st.integers(min_value=0, max_value=30))
-    def test_round_trip(self, a, b, d):
-        x = QI(a, b, d)
-        assert parse_quadratic_irrational(str(x)) == x
+class TestFormat:
+    def test_str(self):
+        assert str(QI(Fraction(-3, 2))) == "-3/2"
+        assert str(QI.sqrt(2)) == "0+1*sqrt(2)"
+        assert str(-1 - Fraction(1, 2) * QI.sqrt(5)) == "-1-1/2*sqrt(5)"
+        assert str(QI.sqrt(Fraction(9, 8))) == "0+3/4*sqrt(2)"
 
-    def test_examples(self):
-        assert parse_quadratic_irrational("3/2") == QI(Fraction(3, 2))
-        assert parse_quadratic_irrational("0+1*sqrt(2)") == QI.sqrt(2)
-        assert parse_quadratic_irrational("-1-1/2*sqrt(5)") == QI(-1, Fraction(-1, 2), 5)
-        with pytest.raises(ValueError):
-            parse_quadratic_irrational("sqrt(2)+")
+    def test_repr_builds_the_value(self):
+        names = {"QuadraticIrrational": QI, "Fraction": Fraction}
+        for x in (QI(Fraction(-3, 2)), QI.sqrt(2), -1 - Fraction(1, 2) * QI.sqrt(5)):
+            assert eval(repr(x), names) == x
 
 
 class TestQuadPoly:
-    def test_roots_irrational(self):
-        roots = quad_roots(QuadPoly(-2, 0, 1))
-        assert [r.value for r in roots] == [QI(0, -1, 2), QI(0, 1, 2)]
-        assert all(r.multiplicity == 1 for r in roots)
-
-    def test_double_root(self):
-        roots = quad_roots(QuadPoly(1, -2, 1))
-        assert roots == [type(roots[0])(QI(1), 2)]
-
-    def test_linear_and_constant(self):
-        assert quad_roots(QuadPoly(-3, 2, 0))[0].value == QI(Fraction(3, 2))
-        assert quad_roots(QuadPoly(5, 0, 0)) == []
-        assert quad_roots(QuadPoly(1, 0, 1)) == []
-
-    def test_zero_poly_rejected(self):
-        with pytest.raises(ValueError, match="indeterminate"):
-            quad_roots(QuadPoly(0, 0, 0))
-
-    @given(rationals, rationals, rationals)
-    def test_roots_evaluate_to_zero(self, c0, c1, c2):
-        p = QuadPoly(c0, c1, c2)
-        if p.is_zero:
-            return
-        for r in quad_roots(p):
-            assert quad_eval(p, r.value).sign() == 0
-
     def test_eval_on_irrational(self):
         p = QuadPoly(-2, 0, 1)  # x^2 - 2
         assert quad_eval(p, QI.sqrt(2)) == QI(0)
-        assert quad_eval(p, QI(1, 1, 2)) == QI(1, 2, 2)
+        assert parts(quad_eval(p, 1 + QI.sqrt(2))) == (1, 2, 2)
 
     def test_reflect_derivative(self):
         p = QuadPoly(1, -2, 3)

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from tiltwall.exactnum import QuadraticIrrational as QI
+from tiltwall.exactnum import QuadraticIrrational as QI, quad_eval
 from tiltwall.lattice import (
     ChernClass,
     INF,
@@ -130,30 +131,65 @@ class TestSlopes:
             assert s == -re / im
 
 
+@st.composite
+def intercept_classes(draw):
+    """Classes of either preset with disc >= 0 and v0 < 0, = 0 or > 0
+    (v1 != 0 when v0 = 0); v2 is within a few steps of the largest (v0 > 0)
+    or smallest (v0 < 0) lattice value it may take, so disc = 0 comes up."""
+    cfg = SurfaceConfig.preset(draw(st.sampled_from(["ppas", "abelian-(1,2)"])))
+    den = cfg.v2_denominator
+    v0 = cfg.v0_step * draw(st.integers(-3, 3))
+    v1 = cfg.v1_step * draw(st.integers(-5, 5).filter(lambda k: v0 != 0 or k != 0))
+    step = draw(st.integers(0, 6))
+    if v0 == 0:
+        v2 = F(draw(st.integers(-40, 40)), den)
+    elif v0 > 0:
+        v2 = F(math.floor(F(v1 * v1, 2 * v0) * den) - step, den)
+    else:
+        v2 = F(math.ceil(F(v1 * v1, 2 * v0) * den) + step, den)
+    return ChernClass(v0, v1, v2)
+
+
 class TestPIntercept:
     def test_rank_positive(self):
-        r = p_intercept(ChernClass(2, 0, -1))
-        assert (r.value, r.double) == (QI(-1), False)
+        assert p_intercept(ChernClass(2, 0, -1)) == QI(-1)
 
     def test_double_root(self):
-        r = p_intercept(ChernClass(2, -4, 4))
-        assert (r.value, r.double) == (QI(-2), True)
+        assert p_intercept(ChernClass(2, -4, 4)) == QI(-2)
 
     def test_negative_rank_takes_larger_root(self):
-        r = p_intercept(ChernClass(-2, 4, -2))
-        assert r.value == QI(-2) + QI.sqrt(2)  # roots -2 -+ sqrt(2), larger kept
+        p = p_intercept(ChernClass(-2, 4, -2))
+        assert p == QI(-2) + QI.sqrt(2)  # roots -2 -+ sqrt(2), larger kept
 
     def test_torsion(self):
-        assert p_intercept(ChernClass(0, 2, -5)).value == QI(F(-5, 2))
+        assert p_intercept(ChernClass(0, 2, -5)) == QI(F(-5, 2))
 
     def test_irrational(self):
-        assert p_intercept(ChernClass(2, 0, -2)).value == -QI.sqrt(2)
+        assert p_intercept(ChernClass(2, 0, -2)) == -QI.sqrt(2)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="no hyperbola"):
             p_intercept(ChernClass(0, 0, 1))
         with pytest.raises(ValueError, match="no real intercept"):
             p_intercept(ChernClass(2, 0, 1))
+
+    @given(intercept_classes())
+    @example(ChernClass(2, -4, 4))
+    @example(ChernClass(-4, 4, -2))
+    @example(ChernClass(0, -2, 3))
+    def test_closed_form_is_the_chosen_root(self, v):
+        """p is a root of chd(v)(-x) = ch2^p(v); for v0 != 0 the conjugate root
+        lies right of it when v0 > 0 and left of it when v0 < 0, the two meet
+        exactly when disc = 0, and v1 - v0*p = sqrt(disc)."""
+        p, disc = p_intercept(v), discriminant(v)
+        assert quad_eval(chd_polynomial(v), -p) == 0
+        if v.v0 == 0:
+            assert p == QI(v.v2 / v.v1)
+            return
+        conjugate = (v.v1 + QI.sqrt(disc)) * F(1, v.v0)
+        assert conjugate >= p if v.v0 > 0 else conjugate <= p
+        assert (conjugate == p) is (disc == 0)
+        assert v.v1 - v.v0 * p == QI.sqrt(disc)
 
 
 class TestLineBundles:

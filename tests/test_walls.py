@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from tiltwall import catalog, walls
+from tiltwall.catalog import _crosses_exactly_along
 from tiltwall.hntree import TreeNode
 from tiltwall.lattice import (
     ChernClass,
@@ -19,7 +20,6 @@ from tiltwall.walls import (
     Nesting,
     Semicircle,
     VerticalWall,
-    _crosses_exactly_along,
     _w0_bound,
     enumerate_candidates,
     nesting,
