@@ -77,17 +77,28 @@ def tree_to_json(tree: HNTree) -> dict:
     }
 
 
+_NODE_KEYS = ("class", "wall", "children", "label")
+
+
 def tree_from_json(data: dict) -> HNTree:
     """The tree of `tree_to_json` form; malformed data raises ValueError.
 
-    A node is internal exactly when it has "children", and then it needs a
-    "wall"; a leaf may carry a string "label".  Nothing is dropped silently: a
-    "wall" without "children" and a label that is not a string are refused.
+    A node has only the keys "class", "wall", "children" and "label".  It is
+    internal exactly when it has "children", and then it needs a "wall" and
+    has no "label"; a leaf may carry a string "label".  Nothing is dropped
+    silently: an unknown key (a typo such as "chlidren" would otherwise turn
+    the node into a leaf), a label on an internal node, a "wall" without
+    "children" and a label that is not a string are refused.
     """
     if not isinstance(data, dict) or "class" not in data:
         raise ValueError('tree node must be a JSON object with a "class" entry')
     cls = ChernClass.from_json(data["class"])
+    unknown = [key for key in data if key not in _NODE_KEYS]
+    if unknown:
+        raise ValueError(f"tree node {cls} has an unknown key {unknown[0]!r}")
     if "children" in data:
+        if "label" in data:
+            raise ValueError(f'tree node {cls} has "children", so it cannot have a "label"')
         if not isinstance(data["children"], list) or not isinstance(data.get("wall"), dict):
             raise ValueError(f'tree node {cls} needs a "wall" object and a "children" list')
         return TreeNode(

@@ -23,6 +23,13 @@ the segment, a discriminant drop disc(w) + disc(v - w) < disc(v), and stays
 in the heart at the top of its wall, so ``_screen_candidate`` tests only
 that both discriminants are 0 or multiples of the minimal discriminant
 (``_candidate_pairs_for_w0``, whose docstring has the proofs).
+
+The search inside the rank window is integer arithmetic.  With beta* = p/q
+and v2 = n/d, each (w0, w1) gets integer half-line thresholds and w2 bounds,
+compared by cross-multiplication and rounded with floor division; the
+spectrum test is two congruences on scaled discriminants; and only a
+survivor builds Fractions: its w2, and its wall and crossing height from
+closed forms in the same integers.
 """
 
 from __future__ import annotations
@@ -227,7 +234,7 @@ def _candidate_pairs_for_w0(
     v: ChernClass,
     beta_star: Fraction,
     a_min: Fraction,
-    a_max: Union[Fraction, float],
+    a_max: Optional[Fraction],
     cfg: SurfaceConfig,
     w0: int,
 ) -> list[tuple[Semicircle, ChernClass, Fraction]]:
@@ -235,64 +242,83 @@ def _candidate_pairs_for_w0(
 
     A candidate w is kept when 0 < ch1^beta*(w) <= ch1^beta*(v), its wall
     with v is a semicircle that meets beta = beta* at a height in
-    [a_min, a_max], w stays in the heart at the top of the wall
-    (0 < ch1^center(w) <= ch1^center(v)), disc(w) and disc(v - w) lie in
-    the discriminant spectrum (0 or a multiple of the minimal discriminant,
-    so in particular >= 0), and disc(w) + disc(v - w) <= disc(v).  Every
-    kept candidate of rank w0 lies in the window, and every w in the window
-    meets all of these conditions but the spectrum, which is the one test
-    ``_screen_candidate`` makes.  The sum condition holds strictly (part 2),
-    so asking for < instead of <= would change nothing.
+    [a_min, a_max] (a_max None is +inf: the query has no top), w stays in
+    the heart at the top of the wall (0 < ch1^center(w) <= ch1^center(v)),
+    disc(w) and disc(v - w) lie in the discriminant spectrum (0 or a
+    multiple of the minimal discriminant, so in particular >= 0), and
+    disc(w) + disc(v - w) <= disc(v).  Every kept candidate of rank w0 lies
+    in the window, and every w in the window meets all of these conditions
+    but the spectrum, which is the one test ``_screen_candidate`` makes.
+    The sum condition holds strictly (part 2), so asking for < instead of
+    <= would change nothing.
 
-    Notation.  At b = beta* write t_v = ch1^b(v) > 0, c = ch2^b(v), and for
-    w = (w0, w1, w2) let t = w1 - b*w0, s = t_v - t, q = v - w, q0 = v0 - w0
-    and x = ch2^b(w) = w2 - b*w1 + b^2*w0/2, so w2 = x + b*w1 - b^2*w0/2.
-    The w1 loop visits exactly 0 < t <= t_v, so 0 <= s < t_v.  As t and
-    t_v are positive, the tilt slopes of v and w agree at (b, a) iff
+    Notation.  Write b = beta* = p/q and v2 = n/d in lowest terms (q, d > 0),
+    den = v2_denominator and w2 = k/den.  At b put t_v = ch1^b(v) > 0,
+    c = ch2^b(v), and for w = (w0, w1, w2) let t = w1 - b*w0, s = t_v - t,
+    u = v - w, u0 = v0 - w0 and x = ch2^b(w) = w2 - b*w1 + b^2*w0/2.  The
+    search runs on the integers
+
+        T_v = q*t_v = q*v1 - p*v0,        T = q*t = q*w1 - p*w0,
+        S = q*s = T_v - T,                C = 2*d*q^2*c
+          = 2*q^2*n - 2*d*p*q*v1 + d*p^2*v0,
+        G = w0*T_v - T*v0 = w0*S - u0*T,
+
+    and each rational it needs is a quotient of two of them.  The w1 loop
+    visits exactly the multiples of v1_step with 0 < T <= T_v, so
+    0 <= S < T_v.  As t and t_v are positive, the tilt slopes of v and w
+    agree at (b, a) iff
 
         E = (c - a*v0)*t - (x - a*w0)*t_v = 0,  i.e.  x = t*c/t_v + a*g,
 
-    with g = (w0*t_v - t*v0)/t_v, so that g*t_v = w0*s - q0*t.  Written at a
-    general beta in place of b, E = -(d01/2)*((beta - center)^2 + 2a -
-    radius_sq) with d01, center and radius_sq as in ``wall_between``, so a
-    semicircular wall is exactly the zero set of E, and d01 = v0*w1 - v1*w0
-    = -g*t_v.
+    with g = G/T_v, of the sign of G.  Written at a general beta in place
+    of b, E = -(d01/2)*((beta - center)^2 + 2a - radius_sq) with d01,
+    center and radius_sq as in ``wall_between``, so a semicircular wall is
+    exactly the zero set of E, and d01 = v0*w1 - v1*w0 = -g*t_v = -G/q.
 
-    g = 0: then d01 = 0 and ``wall_between`` gives a vertical wall or None,
+    G = 0: then d01 = 0 and ``wall_between`` gives a vertical wall or None,
     never a semicircle, so no w2 is kept and the w1 is skipped.  This covers
-    w0 = v0 = 0, where g vanishes for every w1; for v0 = 0 and w0 != 0 we
-    have g = w0 != 0, and for w0 = 0 and v0 != 0 g = -t*v0/t_v != 0 as
-    t > 0, so no other case needs its own branch.
+    w0 = v0 = 0, where G vanishes for every w1; for v0 = 0 and w0 != 0 we
+    have G = w0*T_v != 0, and for w0 = 0 and v0 != 0 G = -T*v0 != 0 as
+    T > 0, so no other case needs its own branch.
 
-    The window, g != 0.  A kept candidate meets beta = b at a height a with
-    a_min <= a <= a_max (a_max is +inf when the query has no top), and there
-    x = t*c/t_v + a*g.  Substituting x into the twist-invariant
-    discriminants disc(w) = t^2 - 2*w0*x and disc(q) = s^2 - 2*q0*(c - x):
+    The window, G != 0.  A kept candidate meets beta = b at a height a with
+    a_min <= a <= a_max, and there x = t*c/t_v + a*g.  Substituting x into
+    the twist-invariant discriminants disc(w) = t^2 - 2*w0*x and
+    disc(u) = s^2 - 2*u0*(c - x), and multiplying by d*q^2*T_v > 0:
 
-        disc(w) = t^2 - 2*w0*t*c/t_v - 2*a*w0*g,
-        disc(q) = s^2 - 2*q0*s*c/t_v + 2*a*q0*g,
+        d*q^2*T_v*disc(w) = T*(d*T*T_v - w0*C) - 2*d*q^2*w0*G * a,
+        d*q^2*T_v*disc(u) = S*(d*S*T_v - u0*C) + 2*d*q^2*u0*G * a,
 
-    both affine in a.  Each of disc(w) >= 0 and disc(q) >= 0 is
-    alpha + sigma*a >= 0: a >= -alpha/sigma if sigma > 0, a <= -alpha/sigma
-    if sigma < 0, and for sigma = 0 all a or none as alpha >= 0 or not.  So
-    a lies in the interval I = [a_lo, a_hi] cut from [a_min, a_max] by the
-    two half-lines.  The map a -> x is affine with slope g: increasing for
-    g > 0 and decreasing for g < 0, so in both cases x(I) is the interval
-    between x(a_lo) and x(a_hi), and w2 = k/den lies between their
-    translates e1 <= e2, i.e. ceil(den*e1) <= k <= floor(den*e2).  Each k
-    in that range gives a w whose x is x(a) for exactly one a in I.  The
-    four parts below fix such a w and its a; a >= a_min > 0.
+    both affine in a with integer coefficients.  Each of disc(w) >= 0 and
+    disc(u) >= 0 is alpha + sigma*a >= 0: a >= -alpha/sigma if sigma > 0,
+    a <= -alpha/sigma if sigma < 0, and every a if sigma = 0.  (sigma = 0
+    means w0 = 0 in the first, where alpha = d*T^2*T_v > 0, or u0 = 0 in
+    the second, where alpha = d*S^2*T_v >= 0: neither half-line is ever
+    empty.)  So a lies in the interval I = [a_lo, a_hi] cut from
+    [a_min, a_max] by the two half-lines; its ends are kept as integer
+    pairs (numerator, denominator > 0) and compared by cross-multiplication.
+    The map a -> x is affine with slope g, and w2 = x + b*w1 - b^2*w0/2, so
 
-    1. Window => wall and range.  d01 = -g*t_v != 0, and (b, a) lies on the
+        w2 = e(a) = (H + K*G*a) / (K*T_v),
+        K = 2*d*q^2,  H = T*C + d*T_v*p*(q*w1 + T),
+
+    increasing in a for G > 0 and decreasing for G < 0.  So w2 = k/den lies
+    between e1 = e(a_lo) and e2 = e(a_hi) for G > 0 (the other way round
+    for G < 0), i.e. ceil(den*e1) <= k <= floor(den*e2), both taken with
+    integer floor division of numerator by positive denominator.  Each k in
+    that range gives a w whose x is x(a) for exactly one a in I.  The four
+    parts below fix such a w and its a; a >= a_min > 0.
+
+    1. Window => wall and range.  d01 = -G/q != 0, and (b, a) lies on the
     zero set of E, so radius_sq = (b - center)^2 + 2a >= 2a > 0: the wall
-    is a semicircle, and ``wall_a_at`` gives cross_a = a, in
-    [a_lo, a_hi] within [a_min, a_max].  disc(w) >= 0 and disc(q) >= 0 hold
-    exactly at that a, by the two half-lines.
+    is a semicircle, and its crossing height at b is a, in [a_lo, a_hi]
+    within [a_min, a_max].  disc(w) >= 0 and disc(u) >= 0 hold exactly at
+    that a, by the two half-lines.
 
     2. The discriminant drop is automatic.  Let nu = (c - a*v0)/t_v, the
     tilt slope of v at (b, a).  E = 0 gives ch2^b(w) - a*w0 = nu*t, and
-    ch2^b(q) - a*q0 = nu*s by subtraction from v, so every u among v, w, q
-    has disc(u) = F(u0, ch1^b(u)) with
+    ch2^b(u) - a*u0 = nu*s by subtraction from v, so every z among v, w, u
+    has disc(z) = F(z0, ch1^b(z)) with
 
         F(x, y) = y^2 - 2*nu*x*y - 2*a*x^2.
 
@@ -300,99 +326,125 @@ def _candidate_pairs_for_w0(
     forms L+- = y - (nu +- sqrt(nu^2 + 2a))*x, whose slopes have product
     -2a < 0.  A vector with F >= 0 and y > 0 has L+ >= 0 and L- >= 0: both
     <= 0 would give y <= 0 (use L- if x >= 0, L+ if x < 0).  (w0, t) is
-    such a vector, since disc(w) >= 0 and t > 0.  So is (q0, s): s = 0
-    would give disc(q) = -2a*q0^2 >= 0, so q0 = 0 and g*t_v = w0*s - q0*t
-    = 0.  (v0, t_v) is their sum, so disc(v) - disc(w) - disc(q) = 2*B with
-    B the polar form of F, 2*B = L+(w0, t)*L-(q0, s) + L-(w0, t)*L+(q0, s),
-    a sum of two terms >= 0.  Both vanish only if the two vectors lie on
-    one line L+ = 0 or L- = 0 (neither vector is 0, and L+ and L- vanish
-    together only at 0), that is, only if w0*s = q0*t, which is g = 0.
-    Hence disc(w) + disc(q) < disc(v).
+    such a vector, since disc(w) >= 0 and T > 0.  So is (u0, s): S = 0
+    would give disc(u) = -2a*u0^2 >= 0, so u0 = 0 and G = w0*S - u0*T = 0.
+    (v0, t_v) is their sum, so disc(v) - disc(w) - disc(u) = 2*B with B the
+    polar form of F, 2*B = L+(w0, t)*L-(u0, s) + L-(w0, t)*L+(u0, s), a sum
+    of two terms >= 0.  Both vanish only if the two vectors lie on one line
+    L+ = 0 or L- = 0 (neither vector is 0, and L+ and L- vanish together
+    only at 0), that is, only if w0*S = u0*T, which is G = 0.  Hence
+    disc(w) + disc(u) < disc(v).
 
     3. The heart at the top.  Suppose ch1^beta(w) = 0 at a point
     (beta, a1) of the open arc (a1 > 0) of the wall, where E vanishes.  If
     ch1^beta(v) != 0 there, E = 0 gives ch2^beta(w) = a1*w0, so
     disc(w) = -2*a1*w0^2; that is < 0 unless w0 = 0, and w0 = 0 would make
-    ch1^beta(w) = w1 = t > 0 for every beta.  If ch1^beta(v) = 0 too, then
-    w1 = beta*w0 and v1 = beta*v0, so d01 = 0.  Both contradict the above,
-    so on the arc, which is connected and passes through (b, a),
-    ch1^beta(w) keeps the sign of t > 0.  q has the same wall (its E is
-    -E) and ch1^b(q) = s > 0 (part 2), so the same holds for q.  At the
+    ch1^beta(w) = w1 = T/q > 0 for every beta.  If ch1^beta(v) = 0 too,
+    then w1 = beta*w0 and v1 = beta*v0, so d01 = 0.  Both contradict the
+    above, so on the arc, which is connected and passes through (b, a),
+    ch1^beta(w) keeps the sign of T > 0.  u has the same wall (its E is
+    -E) and ch1^b(u) = S/q > 0 (part 2), so the same holds for u.  At the
     top: 0 < ch1^center(w) < ch1^center(v).
 
-    4. Finiteness without a top.  The two slopes are sigma_w = -2*w0*g and
-    sigma_q = 2*q0*g, and with g*t_v = w0*s - q0*t
+    4. Finiteness without a top.  The two slopes, over K > 0, are
 
-        sigma_w*t_v = -2*(w0^2*s - w0*q0*t),
-        sigma_q*t_v = -2*(q0^2*t - w0*q0*s).
+        sigma_w/K = -w0*G = -(w0^2*S - w0*u0*T),
+        sigma_u/K =  u0*G = -(u0^2*T - w0*u0*S).
 
-    If w0*q0 > 0, sigma_w*sigma_q = -4*w0*q0*g^2 < 0: the slopes have
-    opposite signs.  If w0*q0 <= 0, both are <= 0 (s >= 0, t > 0), and both
-    are 0 only if w0^2*s = w0*q0 = q0 = 0, which gives w0*s = q0*t = 0,
-    i.e. g = 0.  So one slope is negative, and its half-line caps a_hi at a
+    If w0*u0 > 0, sigma_w*sigma_u = -K^2*w0*u0*G^2 < 0: the slopes have
+    opposite signs.  If w0*u0 <= 0, both are <= 0 (S >= 0, T > 0), and both
+    are 0 only if w0^2*S = w0*u0 = u0 = 0, which gives w0*S = u0*T = 0,
+    i.e. G = 0.  So one slope is negative, and its half-line caps a_hi at a
     rational.  Starting from a_hi = +inf, every (w0, w1) therefore gets a
     finite, rational window, and the search needs no top.
 
-    Only exact rational and integer arithmetic is used.
+    The screen.  With w2 = k/den and m the minimal discriminant,
+    den*disc(w) = den*w1^2 - 2*w0*k and
+    d*den*disc(u) = d*den*(v1 - w1)^2 - 2*u0*(den*n - d*k) are integers, and
+    a rational r with den*r (or d*den*r) an integer is 0 or a multiple of m
+    exactly when that integer is divisible by den*m (or d*den*m).  So
+    ``_screen_candidate`` decides the spectrum by two congruences.
+
+    The survivors.  With M = d*den, the numerators over M of
+    d02 = v0*w2 - v2*w0 and d12 = v1*w2 - v2*w1 are the integers
+    D02 = d*v0*k - den*n*w0 and D12 = d*v1*k - den*n*w1.  Put
+    R = M*d01 != 0.  ``wall_between``'s center = d02/d01 and
+    radius_sq = center^2 - 2*d12/d01 are then
+
+        center = D02/R,  radius_sq = (D02^2 - 2*D12*R)/R^2,
+
+    and the crossing height (radius_sq - (b - center)^2)/2, with
+    b - center = (p*R - q*D02)/(q*R), expands (the D02^2 terms cancel) to
+
+        cross_a = (2*p*q*D02 - 2*q^2*D12 - p^2*R) / (2*q^2*R).
+
+    Everything above is integer arithmetic until these three quotients and
+    the survivor's w2 = k/den.
     """
+    p, q = beta_star.numerator, beta_star.denominator
+    n, d = v.v2.numerator, v.v2.denominator
+    v0, v1 = v.v0, v.v1
+    den, step = cfg.v2_denominator, cfg.v1_step
+    u0 = v0 - w0
+    T_v = q * v1 - p * v0
+    C = 2 * q * q * n - 2 * d * p * q * v1 + d * p * p * v0
+    K = 2 * d * q * q
+    M = d * den
+    mod_w, mod_u = den * cfg.minimal_discriminant, M * cfg.minimal_discriminant
+    pw0 = p * w0
     out = []
-    tv = twist(v, beta_star)
-    t_v, c = tv.t1, tv.t2
-    slope_v = c / t_v
-    den = cfg.v2_denominator
-    q0 = v.v0 - w0
-    # w1 runs over multiples of v1_step with 0 < t = w1 - beta*w0 <= t_v
-    step = cfg.v1_step
-    lo = beta_star * w0
-    first = (math.floor(lo / step) + 1) * step
-    for w1 in range(first, math.floor(lo + t_v) + 1, step):
-        t = w1 - lo
-        g = w0 - t * v.v0 / t_v
-        if g == 0:
+    # w1 runs over multiples of v1_step with 0 < T = q*w1 - p*w0 <= T_v
+    for w1 in range((pw0 // (q * step) + 1) * step, (pw0 + T_v) // q + 1, step):
+        T = q * w1 - pw0
+        G = w0 * T_v - T * v0
+        if G == 0:
             continue
-        s = t_v - t
-        a_lo, a_hi = a_min, a_max
+        S = T_v - T
+        # a_lo and a_hi as (numerator, denominator > 0); a_hi None is +inf
+        lo = (a_min.numerator, a_min.denominator)
+        hi = None if a_max is None else (a_max.numerator, a_max.denominator)
         for alpha, sigma in (
-            (t * (t - 2 * w0 * slope_v), -2 * w0 * g),
-            (s * (s - 2 * q0 * slope_v), 2 * q0 * g),
+            (T * (d * T * T_v - w0 * C), -K * w0 * G),
+            (S * (d * S * T_v - u0 * C), K * u0 * G),
         ):
             if sigma > 0:
-                a_lo = max(a_lo, -alpha / sigma)
+                if -alpha * lo[1] > lo[0] * sigma:
+                    lo = (-alpha, sigma)
             elif sigma < 0:
-                a_hi = min(a_hi, -alpha / sigma)
-            elif alpha < 0:
-                a_hi = a_lo - 1  # this half-line is empty
-        if a_lo > a_hi:
+                if hi is None or alpha * hi[1] < hi[0] * -sigma:
+                    hi = (alpha, -sigma)
+        if lo[0] * hi[1] > hi[0] * lo[1]:  # hi is finite by part 4
             continue
-        shift = t * slope_v + beta_star * (w1 - lo / 2)
-        e1, e2 = sorted((shift + a_lo * g, shift + a_hi * g))
-        for k in range(math.ceil(e1 * den), math.floor(e2 * den) + 1):
-            w = ChernClass(w0, w1, Fraction(k, den))
-            cand = _screen_candidate(v, w, beta_star, cfg)
-            if cand is not None:
-                out.append(cand)
+        H = T * C + d * T_v * p * (q * w1 + T)
+        first, last = (lo, hi) if G > 0 else (hi, lo)
+        k_lo = -(-den * (H * first[1] + K * G * first[0]) // (K * T_v * first[1]))
+        k_hi = den * (H * last[1] + K * G * last[0]) // (K * T_v * last[1])
+        disc_w1 = den * w1 * w1
+        disc_u1 = M * (v1 - w1) ** 2 - 2 * u0 * den * n
+        R = M * (v0 * w1 - v1 * w0)
+        for k in range(k_lo, k_hi + 1):
+            if not _screen_candidate(disc_w1 - 2 * w0 * k, disc_u1 + 2 * u0 * d * k, mod_w, mod_u):
+                continue
+            D02 = d * v0 * k - den * n * w0
+            D12 = d * v1 * k - den * n * w1
+            wall = Semicircle(Fraction(D02, R), Fraction(D02 * D02 - 2 * D12 * R, R * R))
+            cross_a = Fraction(2 * p * q * D02 - 2 * q * q * D12 - p * p * R, 2 * q * q * R)
+            out.append((wall, ChernClass(w0, w1, Fraction(k, den)), cross_a))
     return out
 
 
-def _in_discriminant_spectrum(disc: Fraction, m: int) -> bool:
-    """Positive discriminants of semistable classes are multiples of m."""
-    return disc == 0 or (disc / m).denominator == 1
+def _screen_candidate(disc_w: int, disc_u: int, mod_w: int, mod_u: int) -> bool:
+    """True if disc(w) and disc(v - w) are both in the spectrum.
 
-
-def _screen_candidate(v, w, beta_star, cfg):
-    """(wall, w, cross_a) if disc(w) and disc(v - w) are in the spectrum.
-
-    This is the one test the crossing-height window cannot make: every w
-    that reaches it already has a semicircular wall crossing the segment,
+    The arguments are the scaled discriminants den*disc(w) and
+    d*den*disc(v - w) and their moduli den*m and d*den*m (notation of
+    ``_candidate_pairs_for_w0``, whose docstring has the proofs).  This is
+    the one test the crossing-height window cannot make: every w that
+    reaches it already has a semicircular wall crossing the segment,
     disc(w) >= 0 and disc(v - w) >= 0 with a sum below disc(v), and stays
-    in the heart at the top (``_candidate_pairs_for_w0`` has the proofs).
+    in the heart at the top.
     """
-    m = cfg.minimal_discriminant
-    if not (_in_discriminant_spectrum(discriminant(w), m)
-            and _in_discriminant_spectrum(discriminant(class_sub(v, w)), m)):
-        return None
-    wall = wall_between(v, w)
-    return wall, w, wall_a_at(wall, beta_star)
+    return disc_w % mod_w == 0 and disc_u % mod_u == 0
 
 
 def enumerate_candidates(
@@ -417,8 +469,8 @@ def enumerate_candidates(
     a_min = Fraction(a_min)
     if a_min <= 0:
         raise ValueError("a_min must be positive (walls accumulate at a = 0)")
-    a_max = math.inf if a_max is None else Fraction(a_max)
-    if a_max < a_min:
+    a_max = None if a_max is None else Fraction(a_max)
+    if a_max is not None and a_max < a_min:
         raise ValueError("a_max < a_min")
     if discriminant(v) < 0:
         raise ValueError("class has negative discriminant")

@@ -283,6 +283,8 @@ class TestValidateCommand:
         {"class": [2, 0, -2], "children": 3},
         {"class": [2, 0, "-2"], "wall": {"center": "1", "radius_sq": "1"}},  # wall, no children
         {"class": [2, 0, "-2"], "label": 7},
+        {"class": [2, 0, "-2"], "chlidren": [{"class": [2, 0, "-2"]}]},  # unknown key
+        {**tree_to_json(catalog.load_scenario("ppas-ideal-2").tree), "label": "root"},
     ])
     def test_malformed_tree_exits_2(self, tmp_path, capsys, data):
         path = tmp_path / "bad.json"
@@ -438,6 +440,7 @@ _JUNK_TREES = [
     {"class": [2, 0, -2], "wall": {"center": "1"}, "children": [{"class": [2, 0, -2]}]},
     {"class": [2, 0, -2], "wall": {"beta": "0"}, "children": []},
     {"class": [2, 0, -2], "label": 7},
+    {"class": [2, 0, -2], "chlidren": [{"class": [2, 0, -2]}]},
     "tree",
 ]
 

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from tiltwall.walls import (
     Nesting,
     Semicircle,
     VerticalWall,
+    _candidate_pairs_for_w0,
     _w0_bound,
     enumerate_candidates,
     nesting,
@@ -33,7 +36,12 @@ from conftest import (
     random_class,
     slope_crossing_oracle,
 )
-from walls_oracle import brute_force_candidates, loose_w0_bound, wall_height_bound
+from walls_oracle import (
+    brute_force_candidates,
+    fraction_candidate_pairs_for_w0,
+    loose_w0_bound,
+    wall_height_bound,
+)
 
 F = Fraction
 ints = st.integers(min_value=-10, max_value=10)
@@ -380,7 +388,85 @@ class TestCrossingHeightWindow:
         cands = enumerate_candidates(ChernClass(2, 0, -25), F(-6), a_min, F(30))
         assert len(cands) == 22
         assert sum(len(c.witnesses) for c in cands) == 28
-        assert screened <= 108
+        assert screened == 108
+
+
+@st.composite
+def integer_window_queries(draw):
+    """(cfg, v, beta*, a_min, a_max) for the integer search against its Fraction form.
+
+    beta* has denominator 1, 2, 3 or 7 and v2 denominator 1, 2, 3 or 5, so
+    neither need divide v2_denominator; v0 is negative, zero or positive,
+    and a_max is often None.
+    """
+    cfg = SurfaceConfig.preset(draw(st.sampled_from(["ppas", "abelian-(1,2)"])))
+    v0 = cfg.v0_step * draw(st.sampled_from([-1, 0, 1]))
+    beta = F(draw(st.integers(-21, 21)), draw(st.sampled_from([1, 2, 3, 7])))
+    # the least multiple of v1_step above beta*v0 keeps ch1^beta*(v) > 0
+    v1 = cfg.v1_step * ((beta * v0) // cfg.v1_step + draw(st.integers(1, 6)))
+    dd = draw(st.sampled_from([1, 2, 3, 5]))
+    if v0 == 0:
+        v2 = F(draw(st.integers(-60, 60)), dd)
+    else:
+        # disc(v) = v1^2 - 2*v0*v2 >= 0 puts v2 on one side of v1^2/(2*v0)
+        edge = F(v1 * v1, 2 * v0)
+        nearest = math.floor(edge * dd) if v0 > 0 else math.ceil(edge * dd)
+        v2 = F(nearest - (v0 // abs(v0)) * draw(st.integers(0, 40 * dd)), dd)
+    v = ChernClass(v0, v1, v2)
+    a_min = draw(st.sampled_from([F(1, 50), F(1, 13), F(2, 7), F(3)]))
+    a_max = draw(st.none() | st.integers(0, 40).map(lambda k: a_min + F(k, 3)))
+    return cfg, v, beta, a_min, a_max
+
+
+class TestIntegerWindow:
+    """``_candidate_pairs_for_w0`` in integers against its Fraction form.
+
+    The oracle in ``walls_oracle`` computes the same window from Fraction
+    values of t, g, the half-line thresholds and the w2 bounds, and screens
+    every point with ``discriminant`` and ``wall_between``; the two must
+    return the same (wall, w, cross_a) multiset for every rank in the
+    ``_w0_bound`` window.
+    """
+
+    @staticmethod
+    def assert_same_pairs(cfg, v, beta, a_min, a_max):
+        d = _w0_bound(v, beta, a_min) - abs(v.v0)
+        top = math.inf if a_max is None else a_max
+        kept = 0
+        for w0 in range(min(0, v.v0) - d, max(0, v.v0) + d + 1):
+            fast = _candidate_pairs_for_w0(v, beta, a_min, a_max, cfg, w0)
+            slow = fraction_candidate_pairs_for_w0(v, beta, a_min, top, cfg, w0)
+            assert Counter(fast) == Counter(slow), w0
+            kept += len(fast)
+        return kept
+
+    @given(integer_window_queries())
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    def test_same_pairs_as_fraction_form(self, query):
+        self.assert_same_pairs(*query)
+
+    @pytest.mark.parametrize(
+        "cfg, v, beta, a_min, a_max",
+        [
+            # the disc-100 probe, with and without a top
+            (PPAS, ChernClass(2, 0, -25), F(-6), F(1, 100), F(30)),
+            (PPAS, ChernClass(2, 0, -25), F(-6), F(1, 1000), None),
+            # beta* with denominators 2, 3 and 7
+            (PPAS, ChernClass(2, 8, F(-51, 2)), F(-39, 2), F(1, 100), None),
+            (PPAS, ChernClass(4, 2, -10), F(-4, 3), F(1, 50), None),
+            (ABELIAN, ChernClass(4, 4, -12), F(-9, 7), F(1, 50), F(10)),
+            # v0 < 0 and v0 = 0
+            (ABELIAN, ChernClass(-4, -8, 3), F(7, 2), F(1, 15), None),
+            (PPAS, ChernClass(0, 6, -8), F(-2, 3), F(1, 50), None),
+            # v2 denominators 3 and 5, which do not divide v2_denominator
+            (PPAS, ChernClass(2, 0, F(-26, 3)), F(-2), F(1, 50), None),
+            (ABELIAN, ChernClass(-4, 4, F(36, 5)), F(2, 7), F(1, 50), None),
+        ],
+    )
+    def test_fixed_queries_keep_candidates(self, cfg, v, beta, a_min, a_max):
+        assert self.assert_same_pairs(cfg, v, beta, a_min, a_max) > 0
 
 
 class TestWindowDecides:

@@ -7,12 +7,16 @@ loops and the screening are spelled out here rather than imported, so a
 change to the library's search cannot silently change the oracle.  The
 oracle always searches a bounded segment; ``wall_height_bound`` gives a top
 that covers every wall, for comparison with the library's unbounded search.
+
+``fraction_candidate_pairs_for_w0`` is the library's per-rank search as it
+was in Fraction arithmetic: the oracle for its integer form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Union
 
 from tiltwall.lattice import ChernClass, SurfaceConfig, class_sub, discriminant, twist
 from tiltwall.walls import Semicircle, WallCandidate, wall_a_at, wall_between
@@ -134,3 +138,73 @@ def brute_force_candidates(v, beta_star, a_min, a_max, cfg=None, strict=False):
         result.append(WallCandidate(wall, ordered[0], cross_a, witnesses=ordered))
     result.sort(key=lambda c: (-c.cross_a, c.wall.center))
     return result
+
+
+def fraction_candidate_pairs_for_w0(
+    v: ChernClass,
+    beta_star: Fraction,
+    a_min: Fraction,
+    a_max: Union[Fraction, float],
+    cfg: SurfaceConfig,
+    w0: int,
+) -> list[tuple[Semicircle, ChernClass, Fraction]]:
+    """``walls._candidate_pairs_for_w0`` as it was in Fraction arithmetic.
+
+    Same contract, with a_max = math.inf for a query without a top.  The
+    window is the same one (its proofs are in the library's docstring),
+    computed here from Fraction values of t, g, the two half-line
+    thresholds and the w2 bounds, and every point of it goes through
+    ``discriminant`` and ``wall_between`` as before.
+    """
+    out = []
+    tv = twist(v, beta_star)
+    t_v, c = tv.t1, tv.t2
+    slope_v = c / t_v
+    den = cfg.v2_denominator
+    q0 = v.v0 - w0
+    # w1 runs over multiples of v1_step with 0 < t = w1 - beta*w0 <= t_v
+    step = cfg.v1_step
+    lo = beta_star * w0
+    first = (math.floor(lo / step) + 1) * step
+    for w1 in range(first, math.floor(lo + t_v) + 1, step):
+        t = w1 - lo
+        g = w0 - t * v.v0 / t_v
+        if g == 0:
+            continue
+        s = t_v - t
+        a_lo, a_hi = a_min, a_max
+        for alpha, sigma in (
+            (t * (t - 2 * w0 * slope_v), -2 * w0 * g),
+            (s * (s - 2 * q0 * slope_v), 2 * q0 * g),
+        ):
+            if sigma > 0:
+                a_lo = max(a_lo, -alpha / sigma)
+            elif sigma < 0:
+                a_hi = min(a_hi, -alpha / sigma)
+            elif alpha < 0:
+                a_hi = a_lo - 1  # this half-line is empty
+        if a_lo > a_hi:
+            continue
+        shift = t * slope_v + beta_star * (w1 - lo / 2)
+        e1, e2 = sorted((shift + a_lo * g, shift + a_hi * g))
+        for k in range(math.ceil(e1 * den), math.floor(e2 * den) + 1):
+            w = ChernClass(w0, w1, Fraction(k, den))
+            cand = _fraction_screen(v, w, beta_star, cfg)
+            if cand is not None:
+                out.append(cand)
+    return out
+
+
+def _in_discriminant_spectrum(disc: Fraction, m: int) -> bool:
+    """Positive discriminants of semistable classes are multiples of m."""
+    return disc == 0 or (disc / m).denominator == 1
+
+
+def _fraction_screen(v, w, beta_star, cfg):
+    """(wall, w, cross_a) if disc(w) and disc(v - w) are in the spectrum."""
+    m = cfg.minimal_discriminant
+    if not (_in_discriminant_spectrum(discriminant(w), m)
+            and _in_discriminant_spectrum(discriminant(class_sub(v, w)), m)):
+        return None
+    wall = wall_between(v, w)
+    return wall, w, wall_a_at(wall, beta_star)
