@@ -18,15 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import QuadPoly, QuadraticIrrational
-from .hntree import (
-    HNTree,
-    InvalidTreeError,
-    PiecewiseQuadratic,
-    TreeLeaf,
-    TreeNode,
-    _assemble,
-    _breakpoint_reports,
-)
+from .hntree import HNTree, PiecewiseQuadratic, TreeLeaf, TreeNode, validate_tree
 from .lattice import ChernClass, SurfaceConfig, discriminant, line_bundle_class, mu_slope, twist
 from .walls import Semicircle, enumerate_candidates, wall_a_at
 
@@ -340,11 +332,9 @@ def _crosses_exactly_along(v: ChernClass, w: ChernClass, wall: Semicircle) -> bo
 def _scenario_checks(s: Scenario) -> list[tuple[str, bool]]:
     results = []
     if s.tree is not None:
-        try:
-            fn, groups = _assemble(s.tree)
-        except InvalidTreeError:
-            fn = None
-        valid = fn is not None  # every row that needs the function fails without it
+        report = validate_tree(s.tree)
+        valid = report.passed  # every row that needs the function fails without it
+        fn = report.chd0() if valid else None
         if not s.trivial:
             results.append((f"{s.id}: tree valid", valid))
         if s.expected_chd0 is not None:
@@ -353,7 +343,7 @@ def _scenario_checks(s: Scenario) -> list[tuple[str, bool]]:
             results.append((f"{s.id}: nonnegative", valid and fn.check_nonnegative()))
         if s.expected_jumps:
             ok = valid and s.expected_jumps == {
-                r.x: r.derivative_jump for r in _breakpoint_reports(groups)
+                r.x: r.derivative_jump for r in report.breakpoints()
             }
             results.append((f"{s.id}: derivative jumps", ok))
     if s.expected_walls:
@@ -385,7 +375,7 @@ def regression_checks() -> list[tuple[str, bool]]:
     bundle classes admit no candidate wall.
 
     The continuity row is the only place `check` evaluates continuity:
-    assembly holds it by construction (see `hntree._assemble`).
+    assembly holds it by construction (see `hntree.ValidationReport.chd0`).
     """
     results: list[tuple[str, bool]] = []
     for sid in list_scenarios():

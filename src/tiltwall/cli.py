@@ -18,7 +18,6 @@ from . import catalog
 from .exactnum import format_rational, parse_rational
 from .hntree import (
     InvalidTreeError,
-    _valid_leaves,
     assemble_chd0,
     assemble_chd1,
     hn_factors_at,
@@ -153,7 +152,7 @@ def cmd_validate(args) -> int:
 
 def cmd_hn(args) -> int:
     tree = _resolve_tree(args)
-    _valid_leaves(tree)  # an invalid tree exits 1, as in chd
+    validate_tree(tree).raise_if_invalid()  # an invalid tree exits 1, as in chd
     factors = hn_factors_at(tree, parse_rational(args.a), parse_rational(args.beta))
     header = ["class", "tilt_slope"]
     rows = []
@@ -267,7 +266,7 @@ def main(argv=None) -> int:
     except InvalidTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILURE
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

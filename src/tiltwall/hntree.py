@@ -6,20 +6,22 @@ children, and the final vertices determine the breakpoints -p_G of the
 resulting piecewise quadratic function.  Trees are input data; this module
 verifies their numerical consistency and assembles the functions, it never
 decides which walls are actual.  One walk of a tree makes every check and
-collects the final vertices in order, each with its intercept; validation,
-assembly and the breakpoint reports all read their leaves from it.
+groups the final vertices by breakpoint; its result is a `ValidationReport`,
+whose methods `chd0` and `breakpoints` assemble the function and the
+breakpoint reports of a valid tree and refuse any other.
 
 The walk is the only judge of a tree.  For every tree it accepts, the
 assembled chd0 is continuous, its last piece is the root's polynomial, and
 its derivative jumps by the sum of sqrt(disc) over the final vertices that
-switch on at each breakpoint; the proofs are in the docstrings of `_assemble`
-and `_breakpoint_reports`, and `check` and the tests verify the three facts
-on the assembled functions.
+switch on at each breakpoint; the proofs are in the docstrings of
+`ValidationReport.chd0` and `ValidationReport.breakpoints`, and `check` and
+the tests verify the three facts on the assembled functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -114,42 +116,133 @@ def tree_from_json(data: dict) -> HNTree:
     return TreeLeaf(cls, label)
 
 
+class InvalidTreeError(ValueError):
+    """A tree fails ``validate_tree``; the message lists every violation."""
+
+
 @dataclass
 class ValidationReport:
-    passed: bool
-    violations: list[str] = field(default_factory=list)
+    """The result of the one walk of a tree (see `_walk`).
+
+    violations lists every failed check with its node path; groups holds the
+    final vertices grouped by breakpoint x = -p_G, in ascending x when there
+    is no violation.  `chd0` and `breakpoints` read the groups; both raise
+    InvalidTreeError on a report with violations.
+    """
+
+    violations: list[str]
+    groups: list[tuple[QI, list[TreeLeaf]]]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def __bool__(self):
         return self.passed
 
+    def raise_if_invalid(self) -> None:
+        if self.violations:
+            raise InvalidTreeError("invalid tree: " + "; ".join(self.violations))
 
-class InvalidTreeError(ValueError):
-    """A tree fails ``validate_tree``; the message lists every violation."""
+    def chd0(self) -> PiecewiseQuadratic:
+        """chd0 of the valid tree: the piece after the k-th breakpoint is the
+        cumulative sum of chd(G) over the leaves switched on so far.
+
+        The result is correct by construction for every tree `_walk` accepts,
+        as proved below, so none of it is evaluated here.  Write
+        chd(G)(x) = v2 + v1*x + (v0/2)*x^2 = ch2^{-x}(G) and p_G for the
+        intercept of leaf G.
+
+        Last piece.  The last piece is the sum of chd(G) over all leaves.  chd is
+        linear in the class, so this is chd of the sum of the leaves.  The walk
+        checks at every internal node that its children sum to it, so by
+        induction the leaves sum to the root, and the last piece is chd(root).
+
+        Continuity.  At the k-th breakpoint x_k the piece changes by the sum of
+        chd(G) over the leaves with -p_G = x_k.  The walk checks that p_G is
+        non-increasing along the leaves, so those leaves are consecutive and
+        form one group, and the breakpoints ascend strictly.  Each term
+        vanishes at x_k: chd(G)(-p_G) = ch2^{p_G}(G) = 0, because p_G is a
+        root of beta -> ch2^beta(G).  So the two pieces agree at x_k.
+        """
+        self.raise_if_invalid()
+        pieces: list[QuadPoly] = [QuadPoly(0)]
+        for _, leaves in self.groups:
+            acc = pieces[-1]
+            for leaf in leaves:
+                acc = acc + chd_polynomial(leaf.cls)
+            pieces.append(acc)
+        return PiecewiseQuadratic([x for x, _ in self.groups], pieces)
+
+    def breakpoints(self) -> list[BreakpointReport]:
+        """One `BreakpointReport` per group of the valid tree.
+
+        Jump.  The derivative of the assembled chd0 jumps at x_k by the sum of
+        chd(G)'(x_k) = v1 - v0*p_G over the leaves G switched on there (see
+        `chd0`), and each term is sqrt(disc(G)), so the reported sum is the
+        jump of the pieces.  For v0 != 0, `p_intercept` computes
+        p_G = (v1 - sqrt(disc))/v0, a root of ch2^beta(G) = (v0/2)*beta^2 -
+        v1*beta + v2 (whose discriminant is disc(G)); so v1 - v0*p_G = sqrt(disc).
+        For v0 = 0, p_G = v2/v1 and the term is v1, which equals sqrt(disc) = |v1|
+        exactly when v1 > 0: the walk refuses a leaf of rank 0 with v1 < 0, and
+        one with v1 = 0 has no intercept.
+        """
+        self.raise_if_invalid()
+        reports = []
+        for x, contributing in self.groups:
+            jump = QI(0)
+            for leaf in contributing:
+                jump = jump + QI.sqrt(discriminant(leaf.cls))
+            tags = set()
+            has_positive = any(discriminant(l.cls) > 0 for l in contributing)
+            if has_positive and x.is_rational:
+                tags.add("a")
+            overlap = len(contributing) > 1
+            if overlap and has_positive and any(
+                discriminant(l.cls) == 0 for l in contributing
+            ):
+                tags.add("c")
+            reports.append(
+                BreakpointReport(
+                    x=x,
+                    contributing_leaves=contributing,
+                    derivative_jump=jump,
+                    differentiable=jump == QI(0),
+                    condition_tags=frozenset(tags),
+                    overlap=overlap,
+                )
+            )
+        return reports
 
 
 def validate_tree(tree: HNTree) -> ValidationReport:
     """Check every structural invariant of a destabilization tree.
 
-    One walk of the tree makes every check and collects the final vertices
-    with their intercepts.  Failures are reported with node paths; they are
-    data, not exceptions.
+    One walk of the tree makes every check and groups the final vertices by
+    breakpoint.  Failures are reported with node paths; they are data, not
+    exceptions.
     """
-    violations, _ = _walk(tree)
-    return ValidationReport(not violations, violations)
+    return _walk(tree)
 
 
-def _walk(tree: HNTree) -> tuple[list[str], list[tuple[Optional[QI], TreeLeaf]]]:
-    """Violations, and the final vertices in lexicographic order with p_G (None
-    if G has none), from one depth-first pass.  Each node's discriminant is
+def _walk(tree: HNTree) -> ValidationReport:
+    """The report of one depth-first pass.  Each node's discriminant is
     checked once, at its own path; only a leaf with disc >= 0 can lack p_G.
+
+    A root of negative rank is refused: the last piece of chd0 is chd(root)
+    (see `ValidationReport.chd0`), whose leading coefficient v0/2 would be
+    negative, so chd0 would be negative for large x.
 
     A leaf of rank 0 must have positive degree: a torsion sheaf has v1 >= 0,
     v0 = v1 = 0 has no intercept, and with v1 < 0 the derivative of chd0
-    would jump by v1 = -sqrt(disc) (see `_breakpoint_reports`).  Such a leaf
-    still gets its intercept, so the order check runs over every leaf.
+    would jump by v1 = -sqrt(disc) (see `ValidationReport.breakpoints`).
+    Such a leaf still gets its intercept, so the order check runs over every
+    leaf.
     """
     violations: list[str] = []
     leaves: list[tuple[Optional[QI], TreeLeaf]] = []
+    if tree.cls.v0 < 0:
+        violations.append(f"root: root has negative rank {tree.cls.v0}")
 
     def visit(node: HNTree, path: str, parent_wall: Optional[NumericalWall]):
         disc = discriminant(node.cls)
@@ -196,21 +289,20 @@ def _walk(tree: HNTree) -> tuple[list[str], list[tuple[Optional[QI], TreeLeaf]]]
 
     visit(tree, "root", None)
 
-    # well-orderedness: leaf intercepts non-increasing in lexicographic order
-    ps = [p for p, _ in leaves]
-    if all(p is not None for p in ps):  # a missing intercept is already reported
-        for i, (p, q) in enumerate(zip(ps, ps[1:])):
-            if p < q:
-                violations.append(f"not well-ordered: leaf {i} has p = {p} < {q} = leaf {i + 1}")
-    return violations, leaves
-
-
-def _valid_leaves(tree: HNTree) -> list[tuple[QI, TreeLeaf]]:
-    """``_walk``'s leaves of a valid tree; raises InvalidTreeError otherwise."""
-    violations, leaves = _walk(tree)
-    if violations:
-        raise InvalidTreeError("invalid tree: " + "; ".join(violations))
-    return leaves
+    # well-orderedness: leaf intercepts non-increasing in lexicographic order,
+    # so the leaves sharing a breakpoint x = -p_G are consecutive: one group
+    groups: list[tuple[QI, list[TreeLeaf]]] = []
+    if all(p is not None for p, _ in leaves):  # a missing intercept is already reported
+        for i, (p, leaf) in enumerate(leaves):
+            x = -p
+            if groups and groups[-1][0] == x:
+                groups[-1][1].append(leaf)
+                continue
+            if groups and x < groups[-1][0]:
+                q = leaves[i - 1][0]
+                violations.append(f"not well-ordered: leaf {i - 1} has p = {q} < {p} = leaf {i}")
+            groups.append((x, [leaf]))
+    return ValidationReport(violations, groups)
 
 
 class PointOnWallError(ValueError):
@@ -281,21 +373,17 @@ class PiecewiseQuadratic:
             if not self.breakpoints[i] < self.breakpoints[i + 1]:
                 raise ValueError("breakpoints must be strictly ascending")
 
-    def piece_index_at(self, x) -> int:
-        x = x if isinstance(x, QI) else QI(Fraction(x))
-        for i, b in enumerate(self.breakpoints):
-            if x <= b:
-                return i
-        return len(self.pieces) - 1
-
     def eval_at(self, x) -> QI:
+        """The exact value at x.  Piece rule: x takes pieces[i] for the first i
+        with x <= breakpoints[i], the last piece if there is none; that i is
+        `bisect_left(breakpoints, x)`."""
         x = x if isinstance(x, QI) else QI(Fraction(x))
-        return quad_eval(self.pieces[self.piece_index_at(x)], x)
+        return quad_eval(self.pieces[bisect_left(self.breakpoints, x)], x)
 
     def sample(self, xs: list[Fraction]) -> list[Fraction]:
         """Exact values at the ascending rationals xs, in one sweep over the breakpoints.
 
-        Piece rule: x takes the piece of `piece_index_at`, the first i with
+        Piece rule: x takes the piece of `eval_at`, the first i with
         x <= breakpoints[i] (the last piece if there is none).  For x <= x',
         x' <= b implies x <= b, so the index of x' is at least that of x: the
         sweep only moves forward and passes each breakpoint once.  On its
@@ -389,44 +477,9 @@ def assemble_chd0(tree: HNTree) -> PiecewiseQuadratic:
 
     Breakpoints are the distinct values -p_G over final vertices G; the piece
     after the k-th breakpoint is the cumulative sum of the Chern degree
-    polynomials of the leaves switched on so far.  The leaves and their
-    intercepts come from the one walk that validates the tree.
+    polynomials of the leaves switched on so far (`ValidationReport.chd0`).
     """
-    return _assemble(tree)[0]
-
-
-def _assemble(tree: HNTree) -> tuple[PiecewiseQuadratic, list[tuple[QI, list[TreeLeaf]]]]:
-    """chd0 of a valid tree, and the leaves switched on at each breakpoint.
-
-    Along the walk -p_G is non-decreasing, so leaves sharing a breakpoint are
-    consecutive; they merge into one group and one piece here.  The result is
-    correct by construction for every tree `_walk` accepts, as proved below,
-    so none of it is evaluated here.  Write chd(G)(x) = v2 + v1*x + (v0/2)*x^2 = ch2^{-x}(G) and
-    p_G for the intercept of leaf G.
-
-    Last piece.  The last piece is the sum of chd(G) over all leaves.  chd is
-    linear in the class, so this is chd of the sum of the leaves.  The walk
-    checks at every internal node that its children sum to it, so by
-    induction the leaves sum to the root, and the last piece is chd(root).
-
-    Continuity.  At the k-th breakpoint x_k the piece changes by the sum of
-    chd(G) over the leaves with -p_G = x_k.  The walk checks that p_G is
-    non-increasing along the leaves, so those leaves are consecutive and are
-    merged here into one breakpoint, and the breakpoints ascend strictly.
-    Each term vanishes at x_k: chd(G)(-p_G) = ch2^{p_G}(G) = 0, because p_G
-    is a root of beta -> ch2^beta(G).  So the two pieces agree at x_k.
-    """
-    groups: list[tuple[QI, list[TreeLeaf]]] = []
-    pieces: list[QuadPoly] = [QuadPoly(0)]
-    for p, leaf in _valid_leaves(tree):
-        x, acc = -p, pieces[-1] + chd_polynomial(leaf.cls)
-        if groups and groups[-1][0] == x:
-            groups[-1][1].append(leaf)
-            pieces[-1] = acc
-        else:
-            groups.append((x, [leaf]))
-            pieces.append(acc)
-    return PiecewiseQuadratic([x for x, _ in groups], pieces), groups
+    return _walk(tree).chd0()
 
 
 def assemble_chd1(tree: HNTree) -> PiecewiseQuadratic:
@@ -451,11 +504,9 @@ def trivial_chd(v: ChernClass) -> PiecewiseQuadratic:
     """Two-piece function {0 left of -p_v; ch2^{-x}(v) right of it}.
 
     This is chd0 of the one-leaf tree: v stays semistable down to a = 0.  The
-    walk refuses a negative discriminant, v0 = v1 = 0 and rank 0 with negative
-    degree (InvalidTreeError, a ValueError); a negative rank is refused here.
+    walk refuses a negative discriminant, a negative rank, v0 = v1 = 0 and
+    rank 0 with negative degree (InvalidTreeError, a ValueError).
     """
-    if v.v0 < 0:
-        raise ValueError("trivial function requires a sheaf-type class")
     return assemble_chd0(TreeLeaf(v))
 
 
@@ -480,44 +531,4 @@ def classify_breakpoints(tree: HNTree) -> list[BreakpointReport]:
     with a discriminant-0 one.  The remaining classification requires
     geometric input and is never reported from numerical data alone.
     """
-    return _breakpoint_reports(_assemble(tree)[1])
-
-
-def _breakpoint_reports(groups: list[tuple[QI, list[TreeLeaf]]]) -> list[BreakpointReport]:
-    """``classify_breakpoints`` given the groups of ``_assemble(tree)``.
-
-    Jump.  The derivative of the assembled chd0 jumps at x_k by the sum of
-    chd(G)'(x_k) = v1 - v0*p_G over the leaves G switched on there (see
-    `_assemble`), and each term is sqrt(disc(G)), so the reported sum is the
-    jump of the pieces.  For v0 != 0, `p_intercept` computes
-    p_G = (v1 - sqrt(disc))/v0, a root of ch2^beta(G) = (v0/2)*beta^2 -
-    v1*beta + v2 (whose discriminant is disc(G)); so v1 - v0*p_G = sqrt(disc).
-    For v0 = 0, p_G = v2/v1 and the term is v1, which equals sqrt(disc) = |v1|
-    exactly when v1 > 0: the walk refuses a leaf of rank 0 with v1 < 0, and
-    one with v1 = 0 has no intercept.
-    """
-    reports = []
-    for x, contributing in groups:
-        jump = QI(0)
-        for leaf in contributing:
-            jump = jump + QI.sqrt(discriminant(leaf.cls))
-        tags = set()
-        has_positive = any(discriminant(l.cls) > 0 for l in contributing)
-        if has_positive and x.is_rational:
-            tags.add("a")
-        overlap = len(contributing) > 1
-        if overlap and has_positive and any(
-            discriminant(l.cls) == 0 for l in contributing
-        ):
-            tags.add("c")
-        reports.append(
-            BreakpointReport(
-                x=x,
-                contributing_leaves=contributing,
-                derivative_jump=jump,
-                differentiable=jump == QI(0),
-                condition_tags=frozenset(tags),
-                overlap=overlap,
-            )
-        )
-    return reports
+    return _walk(tree).breakpoints()

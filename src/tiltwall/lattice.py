@@ -176,7 +176,7 @@ def p_intercept(v: ChernClass) -> QuadraticIrrational:
     v0 != 0 its roots are (v1 -+ sqrt(disc))/v0, and p_v = (v1 - sqrt(disc))/v0:
     the smaller root when v0 > 0, the larger one when v0 < 0.  So
     v1 - v0*p_v = sqrt(disc), the derivative jump of chd0 at -p_v (see
-    `hntree._breakpoint_reports`).  For v0 = 0 the equation is linear and
+    `hntree.ValidationReport.breakpoints`).  For v0 = 0 the equation is linear and
     p_v = v2/v1.  The one square root is `QuadraticIrrational.sqrt(disc)`.
     """
     if v.v0 == 0:

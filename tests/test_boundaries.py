@@ -1,8 +1,8 @@
 """Module boundaries and the public names of the package, pinned.
 
 A private name (leading underscore) used across modules of `src/tiltwall`
-couples their internals; the few that remain are listed here, so adding one
-or removing one is a deliberate change.  The same holds for `__all__`.
+couples their internals; none is used, so adding one is a deliberate
+change.  The same holds for `__all__`.
 """
 
 import ast
@@ -13,11 +13,7 @@ import tiltwall
 SRC = Path(tiltwall.__file__).parent
 
 # (importing module, module imported from, private name)
-CROSS_MODULE_PRIVATES = {
-    ("catalog", "hntree", "_assemble"),
-    ("catalog", "hntree", "_breakpoint_reports"),
-    ("cli", "hntree", "_valid_leaves"),
-}
+CROSS_MODULE_PRIVATES = set()
 
 PUBLIC_NAMES = [
     "ChernClass",

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -12,6 +16,7 @@ from tiltwall.hntree import TreeLeaf, TreeNode, assemble_chd0, assemble_chd1, tr
 from tiltwall.lattice import ChernClass, class_add
 from tiltwall.svgplot import _Frame, _hyperbola_polyline
 from tiltwall.walls import Semicircle, wall_between
+import tiltwall
 from tiltwall import catalog
 from conftest import pointwise_csv, pointwise_function_polyline, pointwise_hyperbola_points
 
@@ -276,6 +281,25 @@ class TestValidateCommand:
             1, "", f"error: invalid tree: {violation}\n"
         )
 
+    @pytest.mark.parametrize("data, violation", [
+        # not a ppas class, but `validate` knows no lattice
+        ({"class": [0, -1, "1"]}, "root: leaf of rank 0 has negative degree -1"),
+        ({"class": [1, -4, "5/2"],
+          "wall": {"kind": "semicircle", "center": "-15/22", "radius_sq": "5/484"},
+          "children": [{"class": [-2, -3, "5/2"]}, {"class": [3, -1, "0"]}]},
+         "root: children discriminants sum to 20, not below 11"),
+        # chd0 would end in 2 - x^2, negative for x > sqrt(2)
+        ({"class": [-2, 0, "2"]}, "root: root has negative rank -2"),
+    ], ids=["rank0-degree-minus-1", "discriminant-sum", "negative-rank-root"])
+    def test_one_violation_exits_1_everywhere(self, tmp_path, capsys, data, violation):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, "validate", "--tree", str(path)) == (1, f"violation: {violation}\n", "")
+        for argv in (["chd"], ["hn", "--a", "1/100", "--beta", "-1"]):
+            assert run(capsys, *argv, "--tree", str(path)) == (
+                1, "", f"error: invalid tree: {violation}\n"
+            ), argv
+
     @pytest.mark.parametrize("data", [
         {"class": 5},
         {"class": [2, None, 1]},
@@ -403,6 +427,45 @@ class TestRemovedOptions:
         with pytest.raises(SystemExit) as e:
             main(["walls", "--class", "2,0,-25", "--beta", "-6", "--amin", "1/100", "--strict"])
         assert e.value.code == 2
+
+
+class TestDeepInput:
+    """JSON nested beyond the parser's recursion limit is a usage error; a tree
+    of depth 450 is still judged."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["validate", "--tree"], "[" * 2000 + "]" * 2000),
+        (["walls", "--class", "2,0,-5", "--beta", "-2", "--amin", "1/100", "--config"],
+         '{"a": ' * 2000 + "1" + "}" * 2000),
+    ], ids=["tree", "config"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_tree_of_depth_450_is_judged(self, tmp_path):
+        # each level nests the tree so far as the first child, next to a leaf
+        node = '{"class": [2, 0, "-5"], "wall": {"center": "-3", "radius_sq": "4"}, "children": ['
+        leaf = '{"class": [0, 2, "-1"]}'
+        path = tmp_path / "deep.json"
+        path.write_text(node * 450 + leaf + f", {leaf}]}}" * 450)
+        # a fresh process: the test runner's own frames count against the
+        # recursion limit, as a shell's do not
+        env = {**os.environ, "PYTHONPATH": str(Path(tiltwall.__file__).parents[1])}
+
+        def cli(*argv):
+            done = subprocess.run([sys.executable, "-m", "tiltwall.cli", *argv, "--tree", str(path)],
+                                  capture_output=True, text=True, env=env)
+            return done.returncode, done.stdout, done.stderr
+
+        code, out, err = cli("validate")
+        assert code == 1 and out.startswith("violation: ") and err == ""
+        for argv in (["chd"], ["hn", "--a", "1", "--beta", "-3"]):
+            code, out, err = cli(*argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: invalid tree: ") and err.count("\n") == 1, argv
 
 
 def _ppas_classes():

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tiltwall.exactnum import QuadPoly, QuadraticIrrational as QI, quad_eval
 from tiltwall.hntree import (
@@ -130,6 +130,14 @@ class TestValidation:
         for fn in (assemble_chd0, assemble_chd1, classify_breakpoints):
             with pytest.raises(InvalidTreeError, match="root.0: leaf of rank 0"):
                 fn(tree)
+
+    def test_root_of_negative_rank_is_one_violation(self):
+        assert validate_tree(TreeLeaf(ChernClass(-2, 0, 2))).violations == [
+            "root: root has negative rank -2"
+        ]
+        for fn in (assemble_chd0, classify_breakpoints):
+            with pytest.raises(InvalidTreeError, match="root: root has negative rank"):
+                fn(TreeLeaf(ChernClass(-2, 0, 2)))
 
     def test_rank0_leaf_without_degree_has_no_intercept(self):
         violations = validate_tree(TreeLeaf(ChernClass(0, 0, 1))).violations
@@ -277,6 +285,25 @@ def functions_with_points(draw):
             offsets = st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=4)
             xs += [_near(b, k) for k in draw(offsets)]
     return fn, sorted(xs)
+
+
+def _piece_index(fn: PiecewiseQuadratic, x: QI) -> int:
+    """The piece rule as a loop: the first i with x <= breakpoints[i], else the last piece."""
+    for i, b in enumerate(fn.breakpoints):
+        if x <= b:
+            return i
+    return len(fn.pieces) - 1
+
+
+class TestEvalAt:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_field_functions(), st.lists(small, max_size=5))
+    @example(PiecewiseQuadratic([QI.sqrt(2)], [QuadPoly(0), QuadPoly(1)]), [])
+    def test_eval_at_follows_the_piece_rule(self, fn, xs):
+        # at a breakpoint the two pieces differ for arbitrary pieces, so this
+        # tells the left piece from the right one
+        for x in [*fn.breakpoints, *map(QI, xs)]:
+            assert fn.eval_at(x) == quad_eval(fn.pieces[_piece_index(fn, x)], x), x
 
 
 class TestSample:
