@@ -12,6 +12,15 @@ the ring operations combine canonical operands of one field Q(sqrt(d)), so
 their results are built by the trusted constructor
 `QuadraticIrrational._canonical`, which never factors.  `squarefree_decompose`
 trial-divides only up to the cube root of the cofactor.
+
+Order is one closed-form rule in integers, with no approximation and no
+loop: `_sign(A, B, D)` is the sign of A + B*sqrt(D), the common sign of A
+and B when they agree or one is 0, and otherwise sign(A)*sign(A^2 - B^2*D).
+`sign` clears the denominators of a + b*sqrt(d) into one such call.
+`compare` clears those of the difference: within one field, or against a
+rational, that is one call; across two fields it is the sign of
+S*sqrt(d1) + T*sqrt(d2), never 0, and at most one more call (proofs in the
+docstrings of `_sign` and `compare`).
 """
 
 from __future__ import annotations
@@ -71,6 +80,23 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}") from None
+
+
+def _sign(A: int, B: int, D: int) -> int:
+    """Sign of A + B*sqrt(D) for integers A, B and D >= 0, in {-1, 0, 1}.
+
+    If A and B*sqrt(D) are both >= 0 or both <= 0, the sum has their common
+    sign (B*sqrt(0) counts as 0).  Otherwise they have strictly opposite
+    signs, and the sum has the sign of A exactly when |A| > |B|*sqrt(D),
+    that is when A^2 > B^2*D, is 0 when A^2 = B^2*D, and has the other sign
+    when A^2 < B^2*D: the sign is sign(A)*sign(A^2 - B^2*D).
+    """
+    sa = (A > 0) - (A < 0)
+    sb = (B > 0) - (B < 0) if D else 0
+    if sa * sb >= 0:
+        return sa or sb
+    x = A * A - B * B * D
+    return sa * ((x > 0) - (x < 0))
 
 
 class QuadraticIrrational:
@@ -138,35 +164,14 @@ class QuadraticIrrational:
     def is_rational(self) -> bool:
         return self.d == 0
 
-    def _enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Dyadic enclosure [lo, hi] of the value, width shrinking with bits."""
-        scale = 1 << bits
-        r = math.isqrt(self.d * scale * scale)
-        lo_s, hi_s = Fraction(r, scale), Fraction(r + 1, scale)
-        if self.b > 0:
-            lo, hi = self.a + self.b * lo_s, self.a + self.b * hi_s
-        else:
-            lo, hi = self.a + self.b * hi_s, self.a + self.b * lo_s
-        return lo, hi
-
     def sign(self) -> int:
-        """Exact sign of the value, in {-1, 0, 1}."""
-        if self.d == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        # a and b*sqrt(d) nonzero: compare a**2 vs b**2*d with case analysis
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        if lhs == rhs:
-            return 0
-        bigger_rational = lhs > rhs
-        if self.a > 0:  # b < 0
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
+        """Exact sign of the value, in {-1, 0, 1}.
+
+        The value times a.den*b.den > 0 is A + B*sqrt(d) with the integers
+        A = a.num*b.den and B = b.num*a.den, so `_sign` settles it.
+        """
+        a, b = self.a, self.b
+        return _sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d)
 
     # -- arithmetic (same-field or rational operands) ----------------------
 
@@ -224,25 +229,42 @@ class QuadraticIrrational:
     # -- order -------------------------------------------------------------
 
     def compare(self, other) -> int:
-        """Exact three-way comparison, valid across different fields."""
-        other = self._coerce(other)
-        if other is NotImplemented:
+        """Exact three-way comparison, valid across different fields.
+
+        The difference is r + s*sqrt(d1) + t*sqrt(d2) with r = a1 - a2,
+        s = b1 and t = -b2; times the common denominator L > 0 of a1, a2, b1
+        and b2 it is R + S*sqrt(d1) + T*sqrt(d2) in integers.  Canonical
+        forms give S = 0 when d1 = 0 and T = 0 when d2 = 0.
+
+        Same field, or one operand rational: the difference is
+        R + (S + T)*sqrt(d) with d the one radicand, and `_sign` settles it.
+
+        Across fields (d1 != d2, both squarefree and not 0 or 1, so S and T
+        are nonzero): put u = S*sqrt(d1) + T*sqrt(d2).  As z -> z*|z| is odd
+        and strictly increasing, x + y and x*|x| + y*|y| have one sign, so
+        sign(u) is the sign of the integer S*|S|*d1 + T*|T|*d2.  That integer
+        is never 0: S^2*d1 = T^2*d2 would make d1*d2 a square, which two
+        distinct squarefree integers never give.  If R is 0 or has the sign
+        of u, the difference has the sign of u.  Otherwise R and u have
+        strictly opposite signs, so R + u has the sign of R when R^2 > u^2
+        and the other sign when R^2 < u^2, and
+        R^2 - u^2 = (R^2 - S^2*d1 - T^2*d2) - 2*S*T*sqrt(d1*d2) is one more
+        `_sign`.  No enclosure or loop is needed.
+        """
+        x = self._coerce(other)
+        if x is NotImplemented:
             raise TypeError(f"cannot compare with {other!r}")
-        if self.a == other.a and self.b == other.b and self.d == other.d:
-            return 0
-        if self.d == 0 or other.d == 0 or self.d == other.d:
-            return (self - other).sign()
-        # Cross-field: canonical forms differ, so the values differ; refine
-        # dyadic enclosures until they are disjoint.
-        bits = 16
-        while True:
-            lo1, hi1 = self._enclosure(bits)
-            lo2, hi2 = other._enclosure(bits)
-            if hi1 < lo2:
-                return -1
-            if hi2 < lo1:
-                return 1
-            bits *= 2
+        a1, b1, d1, a2, b2, d2 = self.a, self.b, self.d, x.a, x.b, x.d
+        L = math.lcm(a1.denominator, a2.denominator, b1.denominator, b2.denominator)
+        R = a1.numerator * (L // a1.denominator) - a2.numerator * (L // a2.denominator)
+        S = b1.numerator * (L // b1.denominator)
+        T = -b2.numerator * (L // b2.denominator)
+        if d1 == 0 or d2 == 0 or d1 == d2:
+            return _sign(R, S + T, d1 or d2)
+        u = _sign(S * abs(S) * d1 + T * abs(T) * d2, 0, 0)
+        if R * u >= 0:
+            return u
+        return -u * _sign(R * R - S * S * d1 - T * T * d2, -2 * S * T, d1 * d2)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

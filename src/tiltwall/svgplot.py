@@ -23,10 +23,22 @@ def _fmt(x: float) -> str:
 
 def function_range(fn: PiecewiseQuadratic) -> tuple[float, float]:
     """Plotted and sampled x range of a function: one unit past its outer
-    breakpoints, or [-1, 1] when it has none."""
+    breakpoints, or [-1, 1] when it has none.
+
+    Floats hold every integer up to 2**53 in magnitude and no unit step
+    beyond it, so a breakpoint of magnitude 2**53 or more, which may not
+    even convert to a float, raises ValueError rather than give an empty or
+    overflowing range.
+    """
     if not fn.breakpoints:
         return -1.0, 1.0
-    return float(fn.breakpoints[0]) - 1.0, float(fn.breakpoints[-1]) + 1.0
+    first, last = fn.breakpoints[0], fn.breakpoints[-1]
+    if first <= -(2**53) or last >= 2**53:
+        raise ValueError(
+            "a breakpoint of magnitude 2**53 or more cannot be plotted or sampled "
+            "in floats; use --format table or json"
+        )
+    return float(first) - 1.0, float(last) + 1.0
 
 
 def rational_grid(lo: float, hi: float, steps: int, den: int) -> list[Fraction]:

@@ -1,17 +1,22 @@
 """Mutation ledger: one-line mutants of `src/tiltwall` that the tests must kill.
 
 Each entry names a module, an exact text of it, the text that replaces it,
-the check or proof the change breaks, and the test file expected to kill it.
+the check or proof the change breaks, and the test expected to kill it: a
+pytest node id, either a test file or, to keep the run short, one test in it.
 The file is not collected by pytest (its name does not start with "test_").
 Run it from anywhere:
 
     python tests/mutants.py
 
 For each mutant it copies `src/` to a temporary directory, applies the
-mutant there, and runs the named test file with `-x` against the copy.  A
-mutant is killed when pytest reports a failing test.  The runner prints the
-outcome and wall time of each mutant and exits 1 if any mutant survives or
-any entry no longer matches its module.
+mutant there, and runs the named test with `-x` against the copy.  A mutant
+is killed when pytest reports a failing test.  Hypothesis runs under the
+`mutants` profile, registered here and nowhere else: explicit examples and
+generation only, so a failure is reported without shrinking or explaining
+it; no deadline, so a slow mutant is not taken for a killed one; and no
+example database, so no mutant's failures are replayed in later runs.
+The runner prints the outcome and wall time of each mutant and exits 1 if
+any mutant survives or any entry no longer matches its module.
 """
 
 from __future__ import annotations
@@ -26,6 +31,22 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+ORDER_ORACLE = "tests/test_exactnum.py::TestOrderOracle::test_compare_matches_enclosure_oracle"
+RANK_WINDOW = (
+    "tests/test_walls.py::TestRankWindow::test_probe_window_is_small_and_independent_of_a_min"
+)
+INTEGER_WINDOW = "tests/test_walls.py::TestIntegerWindow::test_fixed_queries_keep_candidates"
+ONE_VIOLATION = "tests/test_cli.py::TestValidateCommand::test_one_violation_exits_1_everywhere"
+
+# pytest in a process that first registers the `mutants` hypothesis profile
+PYTEST = (
+    "import sys, pytest\n"
+    "from hypothesis import Phase, settings\n"
+    "settings.register_profile('mutants', phases=[Phase.explicit, Phase.generate],\n"
+    "                          deadline=None, database=None)\n"
+    "sys.exit(pytest.main(sys.argv[1:]))\n"
+)
 
 
 @dataclass(frozen=True)
@@ -45,7 +66,7 @@ MUTANTS = [
         old="if not (rel.relation is Nesting.NESTED and rel.inner == node.wall):",
         new="if not rel.relation is Nesting.NESTED:",
         breaks="a node's wall lies strictly inside its parent's wall, not around it",
-        killed_by="tests/test_hntree.py",
+        killed_by="tests/test_hntree.py::TestValidation::test_inner_wall_must_nest",
     ),
     Mutant(
         name="well-ordering check disabled",
@@ -54,7 +75,7 @@ MUTANTS = [
         new="if False:",
         breaks="leaf intercepts are non-increasing, so the leaves of a breakpoint "
         "are consecutive (continuity proof of `ValidationReport.chd0`)",
-        killed_by="tests/test_hntree.py",
+        killed_by="tests/test_hntree.py::TestValidation::test_swapped_children_break_well_order",
     ),
     Mutant(
         name="rank-0 leaf of degree -1 accepted",
@@ -63,7 +84,7 @@ MUTANTS = [
         new="if node.cls.v0 == 0 and node.cls.v1 < -1:",
         breaks="a rank-0 leaf has positive degree, so its jump v1 is sqrt(disc) "
         "(jump proof of `ValidationReport.breakpoints`)",
-        killed_by="tests/test_cli.py",
+        killed_by=ONE_VIOLATION,
     ),
     Mutant(
         name="discriminant-sum check deleted",
@@ -71,7 +92,7 @@ MUTANTS = [
         old="if not child_disc < disc:",
         new="if False:",
         breaks="the children's discriminants sum to less than the node's",
-        killed_by="tests/test_cli.py",
+        killed_by=ONE_VIOLATION,
     ),
     Mutant(
         name="piece rule takes the right piece at a breakpoint",
@@ -80,7 +101,7 @@ MUTANTS = [
         new="from bisect import bisect_right as bisect_left\n",
         breaks="x takes pieces[i] for the first i with x <= breakpoints[i] "
         "(`PiecewiseQuadratic.eval_at`)",
-        killed_by="tests/test_hntree.py",
+        killed_by="tests/test_hntree.py::TestEvalAt::test_eval_at_follows_the_piece_rule",
     ),
     Mutant(
         name="negative-rank root accepted",
@@ -89,7 +110,102 @@ MUTANTS = [
         new="if False:",
         breaks="a root of negative rank is refused: its chd0 would end in a "
         "piece with negative leading coefficient",
-        killed_by="tests/test_cli.py",
+        killed_by=ONE_VIOLATION,
+    ),
+    Mutant(
+        name="opposite signs settled without comparing squares",
+        module="exactnum",
+        old="return sa * ((x > 0) - (x < 0))",
+        new="return sa",
+        breaks="A + B*sqrt(D) with A, B of opposite signs has the sign of A only "
+        "when A^2 > B^2*D (proof of `_sign`)",
+        killed_by=ORDER_ORACLE,
+    ),
+    Mutant(
+        name="cross term of u^2 with the wrong sign",
+        module="exactnum",
+        old="-2 * S * T, d1 * d2)",
+        new="2 * S * T, d1 * d2)",
+        breaks="u^2 = S^2*d1 + T^2*d2 + 2*S*T*sqrt(d1*d2) (proof of `compare`)",
+        killed_by=ORDER_ORACLE,
+    ),
+    Mutant(
+        name="sign of u from unsigned squares",
+        module="exactnum",
+        old="S * abs(S) * d1 + T * abs(T) * d2",
+        new="S * S * d1 + T * T * d2",
+        breaks="u = S*sqrt(d1) + T*sqrt(d2) has the sign of S*|S|*d1 + T*|T|*d2 "
+        "(proof of `compare`)",
+        killed_by=ORDER_ORACLE,
+    ),
+    Mutant(
+        name="rank window one less",
+        module="walls",
+        old="return m + (math.isqrt(4 * floor_c + m * m) - m) // 2",
+        new="return m + (math.isqrt(4 * floor_c + m * m) - m) // 2 - 1",
+        breaks="d is the largest solution of d*(d + |v0|) <= floor(C) "
+        "(proof of `_w0_bound`)",
+        killed_by=RANK_WINDOW,
+    ),
+    Mutant(
+        name="rank window one more",
+        module="walls",
+        old="return m + (math.isqrt(4 * floor_c + m * m) - m) // 2",
+        new="return m + (math.isqrt(4 * floor_c + m * m) - m) // 2 + 1",
+        breaks="the window is the one the proof of `_w0_bound` gives; a wider "
+        "one finds the same walls, so only the pinned size shows it",
+        killed_by=RANK_WINDOW,
+    ),
+    Mutant(
+        name="disc(v - w) congruence dropped",
+        module="walls",
+        old="return disc_w % mod_w == 0 and disc_u % mod_u == 0",
+        new="return disc_w % mod_w == 0",
+        breaks="disc(v - w) is 0 or a multiple of the minimal discriminant "
+        "(the screen of `_candidate_pairs_for_w0`)",
+        killed_by=INTEGER_WINDOW,
+    ),
+    Mutant(
+        name="disc(w) congruence dropped",
+        module="walls",
+        old="return disc_w % mod_w == 0 and disc_u % mod_u == 0",
+        new="return disc_u % mod_u == 0",
+        breaks="disc(w) is 0 or a multiple of the minimal discriminant "
+        "(the screen of `_candidate_pairs_for_w0`)",
+        killed_by=INTEGER_WINDOW,
+    ),
+    Mutant(
+        name="k_lo rounded down",
+        module="walls",
+        old="k_lo = -(-den * (H * first[1] + K * G * first[0]) // (K * T_v * first[1]))",
+        new="k_lo = den * (H * first[1] + K * G * first[0]) // (K * T_v * first[1])",
+        breaks="w2 = k/den starts at ceil(den*e1) (the window of `_candidate_pairs_for_w0`)",
+        killed_by=INTEGER_WINDOW,
+    ),
+    Mutant(
+        name="k range one past k_hi",
+        module="walls",
+        old="for k in range(k_lo, k_hi + 1):",
+        new="for k in range(k_lo, k_hi + 2):",
+        breaks="w2 = k/den ends at floor(den*e2) (the window of `_candidate_pairs_for_w0`)",
+        killed_by=INTEGER_WINDOW,
+    ),
+    Mutant(
+        name="k range starts one past k_lo",
+        module="walls",
+        old="for k in range(k_lo, k_hi + 1):",
+        new="for k in range(k_lo + 1, k_hi + 1):",
+        breaks="w2 = k/den starts at ceil(den*e1) (the window of `_candidate_pairs_for_w0`)",
+        killed_by=INTEGER_WINDOW,
+    ),
+    Mutant(
+        name="v - w modulus without d",
+        module="walls",
+        old="mod_w, mod_u = den * cfg.minimal_discriminant, M * cfg.minimal_discriminant",
+        new="mod_w, mod_u = den * cfg.minimal_discriminant, den * cfg.minimal_discriminant",
+        breaks="d*den*disc(v - w) is a multiple of d*den*m exactly when disc(v - w) "
+        "is a multiple of m (the screen of `_candidate_pairs_for_w0`)",
+        killed_by=INTEGER_WINDOW,
     ),
 ]
 
@@ -105,7 +221,8 @@ def run_mutant(mutant: Mutant, workdir: Path) -> str:
     path.write_text(text.replace(mutant.old, mutant.new))
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", mutant.killed_by],
+        [sys.executable, "-c", PYTEST, "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutants", mutant.killed_by],
         cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     # pytest exits 1 when a test fails; other codes mean it did not get that far

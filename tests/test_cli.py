@@ -208,6 +208,32 @@ class TestChdCommand:
         assert code == 0
         assert out.count('class="breakpoint"') == 2
 
+    # the leaf (2, 0, v2) has the one breakpoint sqrt(-v2): 10**350, 10**20,
+    # 10**150, and 2**53 itself
+    @pytest.mark.parametrize("v2, breakpoint", [
+        ("-1e700", 10**350), ("-1e40", 10**20), ("-1e300", 10**150), (str(-(2**106)), 2**53),
+    ])
+    def test_breakpoint_past_2_53_exits_2_in_plots_only(self, tmp_path, capsys, v2, breakpoint):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"class": [2, 0, v2]}))
+        for fmt in ("svg", "csv"):
+            code, out, err = run(capsys, "chd", "--tree", str(path), "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = run(capsys, "chd", "--tree", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["breakpoints"] == [str(breakpoint)]
+        code, out, err = run(capsys, "chd", "--tree", str(path))
+        assert code == 0 and out.startswith(f"[-inf, {breakpoint}]:")
+
+    def test_breakpoint_below_2_53_is_plotted(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"class": [2, 0, str(-(2**53 - 1) ** 2)]}))
+        code, out, _ = run(capsys, "chd", "--tree", str(path), "--format", "svg")
+        assert code == 0 and out.count('class="breakpoint"') == 1
+        code, out, _ = run(capsys, "chd", "--tree", str(path), "--format", "csv", "--samples", "2")
+        assert code == 0
+        assert out == f"x,value\n{2**53 - 2},0\n{2**53 - 1},0\n{2**53},{2**54 - 1:.6g}\n"
+
     @pytest.mark.parametrize("k", ["0", "1"])
     @pytest.mark.parametrize("sid", TREE_SCENARIOS)
     def test_svg_and_csv_match_pointwise_evaluation(self, capsys, sid, k):

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from compare_oracle import case_sign, enclosure_compare
 from squarefree_oracle import is_prime, squarefree_decompose_sqrt
 from tiltwall import exactnum
 from tiltwall.exactnum import (
@@ -131,20 +132,11 @@ class TestSignAndOrder:
         assert QI(1) + QI.sqrt(2) < QI.sqrt(6)
         assert QI.sqrt(2) + 1 > QI.sqrt(5)
 
-    def test_cross_field_compare_refines(self, monkeypatch):
-        # 1.41421356757 against sqrt(2) = 1.41421356237: the 16-bit
-        # enclosures overlap, the 32-bit ones are disjoint
+    def test_cross_field_compare_refines(self):
+        # 1.41421356757 against sqrt(2) = 1.41421356237: 16-bit dyadic
+        # enclosures of the two overlap, 32-bit ones are disjoint
         x, y = Fraction(-31783724, 10**8) + QI.sqrt(3), QI.sqrt(2)
-        bits_used = []
-        enclosure = QI._enclosure
-
-        def spy(self, bits):
-            bits_used.append(bits)
-            return enclosure(self, bits)
-
-        monkeypatch.setattr(QI, "_enclosure", spy)
         assert x.compare(y) == 1 and y.compare(x) == -1
-        assert bits_used == [16, 16, 32, 32] * 2
 
     @given(rationals, st.fractions(min_value=-10, max_value=10, max_denominator=16),
            st.integers(min_value=0, max_value=50))
@@ -162,6 +154,60 @@ class TestSignAndOrder:
     def test_different_field_arithmetic_rejected(self):
         with pytest.raises(ValueError, match="quadratic fields"):
             QI.sqrt(2) + QI.sqrt(3)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two values a + b*QI.sqrt(n), radicands up to 10**11, squarefree or not.
+
+    The second operand shares the first one's radicand, lives in the same
+    field through a square multiple of it, has a radicand of its own, is
+    rational, or is a near tie: its rational part is a float approximation
+    of the first value minus its irrational part.
+    """
+    coeffs = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+    n1 = draw(st.integers(min_value=0, max_value=10**11))
+    x = draw(coeffs) + draw(coeffs) * QI.sqrt(n1)
+    kind = draw(st.sampled_from(["same", "square-multiple", "other", "rational", "near"]))
+    if kind == "same":
+        n2 = n1
+    elif kind == "square-multiple":
+        n2 = n1 * draw(st.integers(min_value=2, max_value=300)) ** 2
+    elif kind == "rational":
+        n2 = draw(st.integers(min_value=0, max_value=300)) ** 2
+    else:
+        n2 = draw(st.integers(min_value=0, max_value=10**11))
+    b2 = draw(coeffs)
+    if kind == "near":
+        target = float(x) - float(b2) * math.sqrt(n2)
+        a2 = Fraction(target).limit_denominator(draw(st.sampled_from([10**6, 10**12, 10**18])))
+    else:
+        a2 = draw(coeffs)
+    return x, a2 + b2 * QI.sqrt(n2)
+
+
+class TestOrderOracle:
+    """The integer sign rule against the enclosure and case-analysis oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs())
+    # the pair on which 16-bit enclosures overlapped
+    @example((Fraction(-31783724, 10**8) + QI.sqrt(3), QI.sqrt(2)))
+    # Pell convergents of sqrt(2), above (p^2 - 2q^2 = 1) and below (= -1)
+    @example((QI(Fraction(665857, 470832)), QI.sqrt(2)))
+    @example((QI(Fraction(275807, 195025)), QI.sqrt(2)))
+    # across fields: u = sqrt(2) - sqrt(3) < 0 with R = 0, and R = 1
+    # against u = sqrt(2) - sqrt(5), where R^2 - u^2 = 2*sqrt(10) - 6 > 0
+    @example((QI.sqrt(2), QI.sqrt(3)))
+    @example((QI.sqrt(2) + 1, QI.sqrt(5)))
+    def test_compare_matches_enclosure_oracle(self, pair):
+        x, y = pair
+        expected = enclosure_compare(x, y)
+        assert x.compare(y) == expected and y.compare(x) == -expected
+        assert (x < y, x == y, x > y) == (expected < 0, expected == 0, expected > 0)
+        assert x.sign() == case_sign(x.a, x.b, x.d) and y.sign() == case_sign(y.a, y.b, y.d)
+        if x.d == 0 or y.d == 0 or x.d == y.d:
+            assert (x - y).sign() == expected
 
 
 class TestArithmetic:
