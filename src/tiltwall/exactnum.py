@@ -130,6 +130,9 @@ class QuadraticIrrational:
         - `sqrt`: d is the squarefree part returned by its one decomposition
           of num*den, with d == 1 handled there as a rational root.  It is
           the only caller that factors, so every irrational starts there.
+        - `quad_eval`: d is the canonical radicand of its argument x, and
+          both parts of its closed form are Fractions.  A value whose
+          irrational part b*(c1 + 2*c2*a) is 0 collapses here.
         """
         if b == 0:
             d = 0
@@ -342,8 +345,21 @@ class QuadPoly:
         return QuadPoly(self.c1, 2 * self.c2, 0)
 
     def eval_rational(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
-        return self.c0 + x * (self.c1 + self.c2 * x)
+        """Exact value at the rational x = k/q, built as one Fraction.
+
+        With L the lcm of the coefficient denominators, the A_i = c_i*L are
+        integers and
+        p(k/q) = (A0*q**2 + A1*k*q + A2*k**2) / (L*q**2)
+               = ((A0*q + A1*k)*q + A2*k**2) / (L*q**2),
+        a quotient of integers, so the one `Fraction` that reduces it is exact.
+        """
+        k, q = x.numerator, x.denominator
+        c0, c1, c2 = self.c0, self.c1, self.c2
+        L = math.lcm(c0.denominator, c1.denominator, c2.denominator)
+        A0 = c0.numerator * (L // c0.denominator)
+        A1 = c1.numerator * (L // c1.denominator)
+        A2 = c2.numerator * (L // c2.denominator)
+        return Fraction((A0 * q + A1 * k) * q + A2 * k * k, L * q * q)
 
     def __str__(self):
         return (
@@ -353,8 +369,20 @@ class QuadPoly:
 
 
 def quad_eval(p: QuadPoly, x) -> QuadraticIrrational:
-    """Exact value p(x); the result stays in the field Q(sqrt(d)) of x."""
+    """Exact value p(x); the result stays in the field Q(sqrt(d)) of x.
+
+    For x = a + b*sqrt(d), expanding c0 + c1*x + c2*x**2 with
+    sqrt(d)**2 = d gives the closed form
+    p(x) = (p(a) + c2*b**2*d) + b*(c1 + 2*c2*a)*sqrt(d).
+    Both parts are rational: p(a) is `eval_rational(a)`, the rest is
+    `Fraction` arithmetic, so the value is exact.  d is the canonical
+    radicand of x, so the trusted `QuadraticIrrational._canonical` builds
+    the result and collapses it to a rational when its b is 0.
+    """
     x = QuadraticIrrational._coerce(x)
     if x is NotImplemented:
         raise TypeError("quad_eval expects a QuadraticIrrational or rational")
-    return x * x * p.c2 + x * p.c1 + QuadraticIrrational(p.c0)
+    a, b, d = x.a, x.b, x.d
+    return QuadraticIrrational._canonical(
+        p.eval_rational(a) + p.c2 * b * b * d, b * (p.c1 + 2 * p.c2 * a), d
+    )

@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+from eval_oracle import horner_eval_rational
 from tiltwall import ChernClass, Semicircle, SurfaceConfig, VerticalWall, chd_polynomial, twist
 from tiltwall.exactnum import format_rational
 from tiltwall.hntree import TreeNode, hn_factors_at, tree_from_json, tree_to_json
@@ -72,7 +73,7 @@ def chd0_value_by_factors(tree, x: Fraction) -> Fraction:
     total = Fraction(0)
     for cls, slope in factors:
         if slope == float("inf") or slope > 0:
-            total += chd_polynomial(cls).eval_rational(x)
+            total += horner_eval_rational(chd_polynomial(cls), x)
     return total
 
 

@@ -1,0 +1,28 @@
+"""Horner form and ring operations: the oracles for evaluating a `QuadPoly`.
+
+These are the evaluations as they were before the closed forms: at a
+rational, c0 + x*(c1 + c2*x) in `Fraction` arithmetic; at a quadratic
+irrational, x*x*c2 + x*c1 + c0 in `QuadraticIrrational` ring operations.
+They read only the public coefficients c0, c1, c2 and are spelled out here
+rather than imported, so a change to the library's formulas cannot silently
+change the oracle.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from tiltwall.exactnum import QuadraticIrrational
+
+
+def horner_eval_rational(p, x) -> Fraction:
+    """Exact value p(x) at a rational x, by Horner's rule in Fractions."""
+    x = Fraction(x)
+    return p.c0 + x * (p.c1 + p.c2 * x)
+
+
+def ring_quad_eval(p, x) -> QuadraticIrrational:
+    """Exact value p(x) at a quadratic irrational x, by ring operations."""
+    if not isinstance(x, QuadraticIrrational):
+        x = QuadraticIrrational(x)
+    return x * x * p.c2 + x * p.c1 + QuadraticIrrational(p.c0)

@@ -38,6 +38,7 @@ RANK_WINDOW = (
 )
 INTEGER_WINDOW = "tests/test_walls.py::TestIntegerWindow::test_fixed_queries_keep_candidates"
 ONE_VIOLATION = "tests/test_cli.py::TestValidateCommand::test_one_violation_exits_1_everywhere"
+EVAL_ORACLE = "tests/test_exactnum.py::TestEvalOracle"
 
 # pytest in a process that first registers the `mutants` hypothesis profile
 PYTEST = (
@@ -137,6 +138,30 @@ MUTANTS = [
         breaks="u = S*sqrt(d1) + T*sqrt(d2) has the sign of S*|S|*d1 + T*|T|*d2 "
         "(proof of `compare`)",
         killed_by=ORDER_ORACLE,
+    ),
+    Mutant(
+        name="closed form at a + b*sqrt(d) without b^2*d",
+        module="exactnum",
+        old="p.eval_rational(a) + p.c2 * b * b * d,",
+        new="p.eval_rational(a),",
+        breaks="c2*x^2 contributes c2*b^2*d to the rational part (closed form of `quad_eval`)",
+        killed_by=EVAL_ORACLE + "::test_quad_eval_matches_ring_ops",
+    ),
+    Mutant(
+        name="closed form at a + b*sqrt(d) without the 2 of 2*a*b",
+        module="exactnum",
+        old="b * (p.c1 + 2 * p.c2 * a)",
+        new="b * (p.c1 + p.c2 * a)",
+        breaks="c2*x^2 contributes 2*c2*a*b to the sqrt(d) part (closed form of `quad_eval`)",
+        killed_by=EVAL_ORACLE + "::test_quad_eval_matches_ring_ops",
+    ),
+    Mutant(
+        name="integer evaluation over L*q",
+        module="exactnum",
+        old="L * q * q)",
+        new="L * q)",
+        breaks="p(k/q) = ((A0*q + A1*k)*q + A2*k^2) / (L*q^2) (closed form of `eval_rational`)",
+        killed_by=EVAL_ORACLE + "::test_eval_rational_matches_horner",
     ),
     Mutant(
         name="rank window one less",

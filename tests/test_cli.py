@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from tiltwall.cli import main
+from tiltwall.cli import MAX_SAMPLES, build_parser, main
 from tiltwall.exactnum import QuadraticIrrational as QI, format_rational
 from tiltwall.hntree import TreeLeaf, TreeNode, assemble_chd0, assemble_chd1, tree_to_json
 from tiltwall.lattice import ChernClass, class_add
@@ -201,6 +201,13 @@ class TestChdCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: --samples") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("samples", [str(MAX_SAMPLES + 1), "100000000"])
+    def test_samples_above_max_exits_2(self, capsys, samples):
+        code, out, err = run(capsys, "chd", "--scenario", "ppas-ideal-5-W2",
+                             "--format", "csv", "--samples", samples)
+        assert code == 2 and out == ""
+        assert err == f"error: --samples must be at most {MAX_SAMPLES}, got {samples}\n"
+
     def test_svg(self, capsys):
         code, out, _ = run(
             capsys, "chd", "--scenario", "ppas-ideal-2", "--format", "svg",
@@ -265,6 +272,45 @@ class TestChdCommand:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["breakpoints"] == ["1"]
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; a reused parser answers each
+    call as a fresh process does, after usage errors and --help too."""
+
+    SEQUENCE = [
+        ("walls", "--badflag"),
+        ("--help",),
+        ("chd", "--help"),
+        ("walls", "--class", "2,0,-5", "--beta", "-2", "--amin", "1/100"),
+        ("chd", "--scenario", "ppas-ideal-2", "--tree", "tree.json"),
+        ("chd", "--scenario", "ppas-ideal-2", "--format", "svg"),
+        ("hn", "--scenario", "ppas-ideal-4-collinear", "--a", "1/50", "--beta", "-5/2"),
+    ]
+
+    def test_reused_parser_matches_fresh_process(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(Path(tiltwall.__file__).parents[1])}
+
+        def in_process(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in self.SEQUENCE:
+            done = subprocess.run([sys.executable, "-m", "tiltwall.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 2, 0, 0]
+        # twice over, so that every call of the second pass meets a parser
+        # that has already answered the whole sequence
+        for _ in range(2):
+            assert [in_process(argv) for argv in self.SEQUENCE] == fresh
+        assert build_parser() is build_parser()
 
 
 class TestValidateCommand:

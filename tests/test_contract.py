@@ -4,11 +4,15 @@ Each digest is the sha256 of a command's stdout.  The `check`, `catalog` and
 `walls` digests were recorded before the crossing-height window became the
 only judge of which candidates reach the spectrum test; the `chd` digests,
 which pin the assembled chd0 and chd1 of every tree scenario, were recorded
-before assembly stopped re-checking its own output.  A change that keeps the
-contract keeps every digest.
+before assembly stopped re-checking its own output.  The `--help` digests
+were recorded with COLUMNS=80 on Python 3.11, before the parser was built
+once per process; argparse lays help out differently across Python versions,
+so they are compared on 3.11 only.  A change that keeps the contract keeps
+every digest.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -128,3 +132,28 @@ def test_every_tree_scenario_function_is_pinned():
     pinned = [(argv[2], argv[4]) for argv, _ in CONTRACT if argv[0] == "chd"]
     trees = [sid for sid in catalog.list_scenarios() if catalog.load_scenario(sid).tree]
     assert pinned == [(sid, k) for sid in trees for k in ("0", "1")]
+
+
+# the top-level help lists the commands, so a new one changes its digest
+HELP = [
+    ((), "fffbad1cf92bcf91d25c3eec5484ec9cbcf35591bbbc73ff52cc68b2eeed07e3"),
+    (("walls",), "f1ca06349d3472113d5138c7c1e798c7a8c88cd0a27fa057349d1228ac3e7490"),
+    (("chd",), "31888e5a7bba9eea4b15cd54d33a5bce6542f9259c0a61f3efe67d7099814eb2"),
+    (("validate",), "816a2b0de4b70d532b9a3dd2e77731b09398af7263e50005f277feebabaeffd4"),
+    (("hn",), "f79b25fe797941e546216789a119dbcb1d3fc1d73b17c921b4508774265d87f4"),
+    (("catalog",), "1870fdd26332a1231cfdfdbf9577deba2c3bea58ad068254e400c71d5693e1f9"),
+    (("check",), "0d10961fb73a31fb5f669f90b300e74f8da8aef531d072393acbd6fbd5c75288"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help digests recorded on 3.11")
+@pytest.mark.parametrize("argv, digest", HELP, ids=[" ".join(a) or "tiltwall" for a, _ in HELP])
+def test_help_is_byte_identical(monkeypatch, capsys, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+

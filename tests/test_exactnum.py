@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compare_oracle import case_sign, enclosure_compare
+from eval_oracle import horner_eval_rational, ring_quad_eval
 from squarefree_oracle import is_prime, squarefree_decompose_sqrt
 from tiltwall import exactnum
 from tiltwall.exactnum import (
@@ -13,6 +14,7 @@ from tiltwall.exactnum import (
     quad_eval,
     squarefree_decompose,
 )
+from tiltwall.svgplot import rational_grid
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
@@ -305,3 +307,58 @@ class TestQuadPoly:
         assert p.reflect() == QuadPoly(1, 2, 3)
         assert p.derivative() == QuadPoly(-2, 6, 0)
         assert p.eval_rational(Fraction(1, 2)) == Fraction(3, 4)
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6).map(Fraction),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+polys = st.builds(QuadPoly, coefficients, coefficients, coefficients)
+
+
+@st.composite
+def grid_points(draw):
+    """Points of `rational_grid` over denominators 1024 and 4096, as the
+    svg and csv samplers draw them."""
+    lo = draw(st.floats(min_value=-1e6, max_value=1e6))
+    hi = lo + draw(st.floats(min_value=0, max_value=1e3))
+    steps = draw(st.integers(min_value=1, max_value=400))
+    den = draw(st.sampled_from([1024, 4096]))
+    return draw(st.sampled_from(rational_grid(lo, hi, steps, den)))
+
+
+@st.composite
+def field_points(draw):
+    """x = a + b*QI.sqrt(n) with radicands up to 10**11, squarefree or not,
+    square (so x is rational) or 0."""
+    n = draw(st.one_of(
+        st.integers(min_value=0, max_value=10**11),
+        st.integers(min_value=0, max_value=10**5).map(lambda r: r * r),
+    ))
+    return draw(coefficients) + draw(coefficients) * QI.sqrt(n)
+
+
+class TestEvalOracle:
+    """The closed-form evaluations against the Horner and ring-operation forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys, st.one_of(grid_points(), st.integers(-10**9, 10**9), st.fractions()))
+    @example(QuadPoly(1, -2, 3), Fraction(3, 1024))
+    @example(QuadPoly(Fraction(1, 6), Fraction(-5, 4), Fraction(7, 9)), Fraction(-1, 3))
+    def test_eval_rational_matches_horner(self, p, x):
+        got = p.eval_rational(x)
+        assert type(got) is Fraction
+        assert got == horner_eval_rational(p, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys, st.one_of(field_points(), coefficients))
+    @example(QuadPoly(1, -2, 3), Fraction(1, 3) + 2 * QI.sqrt(5))
+    @example(QuadPoly(0, 0, 1), QI.sqrt(7))
+    @example(QuadPoly(-2, 0, 1), QI.sqrt(2))
+    def test_quad_eval_matches_ring_ops(self, p, x):
+        got, expected = quad_eval(p, x), ring_quad_eval(p, x)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert str(got) == str(expected)
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+        assert (got.b == 0) is (got.d == 0)
