@@ -28,14 +28,22 @@ F = Fraction
 
 @dataclass
 class Scenario:
+    """One catalog entry.  cls is the class the scenario is about; it defaults
+    to the root class of tree, so only a walls-only scenario (tree None)
+    states it.  It is set once, when the scenario is built."""
+
     id: str
     config: SurfaceConfig
-    cls: ChernClass
     tree: Optional[HNTree]  # None = walls-only scenario
+    cls: Optional[ChernClass] = None
     expected_chd0: Optional[PiecewiseQuadratic] = None
     expected_jumps: dict = field(default_factory=dict)  # breakpoint -> jump (QI)
     expected_walls: list = field(default_factory=list)  # walls crossing beta = -2
     notes: str = ""
+
+    def __post_init__(self):
+        if self.cls is None:
+            self.cls = self.tree.cls
 
     @property
     def trivial(self) -> bool:
@@ -61,7 +69,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-ideal-1",
             config=PPAS,
-            cls=ChernClass(2, 0, -1),
             tree=TreeLeaf(ChernClass(2, 0, -1), "ideal of a point"),
             expected_chd0=_pw([1], [(0, 0, 0), (-1, 0, 1)]),
             notes="ideal sheaf of a single point; no wall below the Gieseker chamber",
@@ -73,7 +80,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-ideal-2",
             config=PPAS,
-            cls=ChernClass(2, 0, -2),
             tree=TreeNode(
                 ChernClass(2, 0, -2),
                 Semicircle(F(-3, 2), F(1, 4)),
@@ -93,7 +99,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-ideal-3-collinear",
             config=PPAS,
-            cls=ChernClass(2, 0, -3),
             tree=TreeNode(
                 ChernClass(2, 0, -3),
                 Semicircle(F(-2), F(1)),
@@ -113,7 +118,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-ideal-3-generic",
             config=PPAS,
-            cls=ChernClass(2, 0, -3),
             tree=TreeNode(
                 ChernClass(2, 0, -3),
                 Semicircle(F(-7, 4), F(1, 16)),
@@ -143,7 +147,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-ideal-4-collinear",
             config=PPAS,
-            cls=ChernClass(2, 0, -4),
             tree=TreeNode(
                 ChernClass(2, 0, -4),
                 Semicircle(F(-5, 2), F(9, 4)),
@@ -166,7 +169,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-ideal-4-generic",
             config=PPAS,
-            cls=ChernClass(2, 0, -4),
             tree=TreeLeaf(ChernClass(2, 0, -4), "ideal of four generic points"),
             expected_chd0=_pw([2], [(0, 0, 0), (-4, 0, 1)]),
             notes="four points not on a theta translate; semistable left of the vertical wall",
@@ -178,7 +180,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-ideal-5-W2",
             config=PPAS,
-            cls=ChernClass(2, 0, -5),
             tree=TreeNode(
                 ChernClass(2, 0, -5),
                 Semicircle(F(-5, 2), F(5, 4)),
@@ -205,7 +206,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-ideal-5-generic",
             config=PPAS,
-            cls=ChernClass(2, 0, -5),
             tree=TreeNode(
                 ChernClass(2, 0, -5),
                 Semicircle(F(-9, 4), F(1, 16)),
@@ -248,7 +248,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="abelian12-ideal-point",
             config=AB12,
-            cls=ChernClass(4, 0, -1),
             tree=TreeNode(
                 ChernClass(4, 0, -1),
                 Semicircle(F(-3, 4), F(1, 16)),
@@ -267,7 +266,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-structure-sheaf",
             config=PPAS,
-            cls=ChernClass(2, 0, 0),
             tree=TreeLeaf(ChernClass(2, 0, 0), "structure sheaf"),
             expected_chd0=_pw([0], [(0, 0, 0), (0, 0, 1)]),
             notes="structure sheaf; semistable everywhere left of the vertical wall",
@@ -278,7 +276,6 @@ def _build() -> dict[str, Scenario]:
         Scenario(
             id="ppas-abel-jacobi",
             config=PPAS,
-            cls=ChernClass(0, 2, 0),
             tree=TreeLeaf(ChernClass(0, 2, 0), "odd-degree line bundle on the theta curve"),
             expected_chd0=_pw([0], [(0, 0, 0), (0, 2, 0)]),
             notes="pushforward of a degree-1 line bundle from the genus-2 curve",

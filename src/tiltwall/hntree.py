@@ -90,7 +90,8 @@ def tree_from_json(data: dict) -> HNTree:
     has no "label"; a leaf may carry a string "label".  Nothing is dropped
     silently: an unknown key (a typo such as "chlidren" would otherwise turn
     the node into a leaf), a label on an internal node, a "wall" without
-    "children" and a label that is not a string are refused.
+    "children", a wall of neither `to_json` form (`wall_from_json`) and a
+    label that is not a string are refused, each naming its node.
     """
     if not isinstance(data, dict) or "class" not in data:
         raise ValueError('tree node must be a JSON object with a "class" entry')
@@ -103,11 +104,11 @@ def tree_from_json(data: dict) -> HNTree:
             raise ValueError(f'tree node {cls} has "children", so it cannot have a "label"')
         if not isinstance(data["children"], list) or not isinstance(data.get("wall"), dict):
             raise ValueError(f'tree node {cls} needs a "wall" object and a "children" list')
-        return TreeNode(
-            cls,
-            wall_from_json(data["wall"]),
-            [tree_from_json(c) for c in data["children"]],
-        )
+        try:
+            wall = wall_from_json(data["wall"])
+        except ValueError as exc:
+            raise ValueError(f"tree node {cls}: {exc}") from None
+        return TreeNode(cls, wall, [tree_from_json(c) for c in data["children"]])
     if "wall" in data:
         raise ValueError(f'tree node {cls} has a "wall" but no "children" list')
     label = data.get("label", "")
@@ -178,29 +179,29 @@ class ValidationReport:
         """One `BreakpointReport` per group of the valid tree.
 
         Jump.  The derivative of the assembled chd0 jumps at x_k by the sum of
-        chd(G)'(x_k) = v1 - v0*p_G over the leaves G switched on there (see
-        `chd0`), and each term is sqrt(disc(G)), so the reported sum is the
-        jump of the pieces.  For v0 != 0, `p_intercept` computes
-        p_G = (v1 - sqrt(disc))/v0, a root of ch2^beta(G) = (v0/2)*beta^2 -
-        v1*beta + v2 (whose discriminant is disc(G)); so v1 - v0*p_G = sqrt(disc).
-        For v0 = 0, p_G = v2/v1 and the term is v1, which equals sqrt(disc) = |v1|
-        exactly when v1 > 0: the walk refuses a leaf of rank 0 with v1 < 0, and
-        one with v1 = 0 has no intercept.
+        chd(G)'(x_k) = v1 + v0*x_k over the leaves G switched on there (see
+        `chd0`).  That sum is the reported jump, computed from x_k = -p_G,
+        which the walk already holds, so no radicand is factored here.  Each
+        term is sqrt(disc(G)), so the jump is the sum of sqrt(disc) by the
+        following proof and is not rechecked.  For v0 != 0, `p_intercept`
+        computes p_G = (v1 - sqrt(disc))/v0, a root of ch2^beta(G) =
+        (v0/2)*beta^2 - v1*beta + v2 (whose discriminant is disc(G)); so
+        v1 - v0*p_G = sqrt(disc).  For v0 = 0, p_G = v2/v1 and the term is v1,
+        which equals sqrt(disc) = |v1| exactly when v1 > 0: the walk refuses a
+        leaf of rank 0 with v1 < 0, and one with v1 = 0 has no intercept.  So
+        a term is 0 exactly when disc(G) = 0, which is what the tags read.
         """
         self.raise_if_invalid()
         reports = []
         for x, contributing in self.groups:
-            jump = QI(0)
-            for leaf in contributing:
-                jump = jump + QI.sqrt(discriminant(leaf.cls))
+            roots = [leaf.cls.v1 + leaf.cls.v0 * x for leaf in contributing]
+            jump = sum(roots, QI(0))
             tags = set()
-            has_positive = any(discriminant(l.cls) > 0 for l in contributing)
+            has_positive = any(r != 0 for r in roots)
             if has_positive and x.is_rational:
                 tags.add("a")
             overlap = len(contributing) > 1
-            if overlap and has_positive and any(
-                discriminant(l.cls) == 0 for l in contributing
-            ):
+            if overlap and has_positive and 0 in roots:
                 tags.add("c")
             reports.append(
                 BreakpointReport(
@@ -381,32 +382,16 @@ class PiecewiseQuadratic:
         return quad_eval(self.pieces[bisect_left(self.breakpoints, x)], x)
 
     def sample(self, xs: list[Fraction]) -> list[Fraction]:
-        """Exact values at the ascending rationals xs, in one sweep over the breakpoints.
+        """Exact values at the rationals xs, in any order.
 
-        Piece rule: x takes the piece of `eval_at`, the first i with
-        x <= breakpoints[i] (the last piece if there is none).  For x <= x',
-        x' <= b implies x <= b, so the index of x' is at least that of x: the
-        sweep only moves forward and passes each breakpoint once.  On its
-        piece the value is the rational pieces[i](x), the same number that
-        `eval_at(x)` returns as a rational quadratic irrational.
-
-        `x > b` is decided exactly: a rational breakpoint is compared as its
-        Fraction, an irrational one by the exact `QuadraticIrrational`
-        comparison.
-
-        A descending pair in xs raises ValueError.
+        Each x takes the piece of `eval_at`, by the same `bisect_left` over the
+        same breakpoints, with a rational breakpoint compared as its Fraction
+        and an irrational one by the exact `QuadraticIrrational` comparison.
+        On its piece the value is the rational pieces[i](x), the same number
+        that `eval_at(x)` returns as a rational quadratic irrational.
         """
         keys = [b.a if b.is_rational else b for b in self.breakpoints]
-        values: list[Fraction] = []
-        i, prev = 0, None
-        for x in xs:
-            if prev is not None and x < prev:
-                raise ValueError(f"sample points must ascend: {x} follows {prev}")
-            prev = x
-            while i < len(keys) and keys[i] < x:
-                i += 1
-            values.append(self.pieces[i].eval_rational(x))
-        return values
+        return [self.pieces[bisect_left(keys, x)].eval_rational(x) for x in xs]
 
     def check_continuity(self) -> bool:
         for i, b in enumerate(self.breakpoints):
@@ -524,7 +509,8 @@ def classify_breakpoints(tree: HNTree) -> list[BreakpointReport]:
     """Critical-point data at each breakpoint of the assembled function.
 
     The derivative jump equals the sum of sqrt(disc) over contributing final
-    vertices; the function is differentiable exactly when all of them have
+    vertices, read from their intercepts (`ValidationReport.breakpoints`);
+    the function is differentiable exactly when all of them have
     discriminant 0.  Tag "a" (a slope-0 factor at that parameter) is emitted
     when a contributing leaf has positive discriminant and rational
     intercept; tag "c" marks the numerically witnessed overlap of such a leaf

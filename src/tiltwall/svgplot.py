@@ -43,8 +43,7 @@ def function_range(fn: PiecewiseQuadratic) -> tuple[float, float]:
 
 def rational_grid(lo: float, hi: float, steps: int, den: int) -> list[Fraction]:
     """steps + 1 rationals over den, each the rounding of one of the evenly spaced
-    floats from lo to hi; ascending (non-strictly) when lo <= hi, as every
-    float step is monotone."""
+    floats from lo to hi."""
     return [Fraction(round((lo + (hi - lo) * i / steps) * den), den) for i in range(steps + 1)]
 
 
@@ -61,6 +60,25 @@ class _Frame:
         return _H - _PAD - y * self.sy
 
 
+def _preamble(fr: _Frame) -> list[str]:
+    """The svg element and the beta (or x) axis across the frame."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
+        f'viewBox="0 0 {int(_W)} {int(_H)}">',
+        f'<line x1="{_fmt(fr.px(fr.x_lo))}" y1="{_fmt(fr.py(0))}" '
+        f'x2="{_fmt(fr.px(fr.x_hi))}" y2="{_fmt(fr.py(0))}" stroke="black"/>',
+    ]
+
+
+def _vline(fr: _Frame, cls: str, x: float, stroke: str, dash: str) -> str:
+    """A dashed vertical line at x, from the axis to the top of the frame."""
+    return (
+        f'<line class="{cls}" x1="{_fmt(fr.px(x))}" y1="{_fmt(fr.py(0))}" '
+        f'x2="{_fmt(fr.px(x))}" y2="{_fmt(fr.py(fr.y_hi))}" '
+        f'stroke="{stroke}" stroke-dasharray="{dash}"/>'
+    )
+
+
 def render_walls_svg(
     v: ChernClass, candidates: list[WallCandidate], beta_star=None
 ) -> str:
@@ -75,27 +93,13 @@ def render_walls_svg(
         xs.append(float(beta_star))
     if not xs:
         xs = [-1.0, 1.0]
-    x_lo, x_hi = min(xs) - 0.5, max(xs) + 0.5
-    y_hi = max(radii + [1.0]) + 0.5
-    fr = _Frame(x_lo, x_hi, y_hi)
+    fr = _Frame(min(xs) - 0.5, max(xs) + 0.5, max(radii + [1.0]) + 0.5)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
-        f'viewBox="0 0 {int(_W)} {int(_H)}">',
-        f'<line x1="{_fmt(fr.px(x_lo))}" y1="{_fmt(fr.py(0))}" '
-        f'x2="{_fmt(fr.px(x_hi))}" y2="{_fmt(fr.py(0))}" stroke="black"/>',
-    ]
+    parts = _preamble(fr)
     if v.v0 != 0:
-        mu = float(mu_slope(v))
-        parts.append(
-            f'<line class="vertical-wall" x1="{_fmt(fr.px(mu))}" y1="{_fmt(fr.py(0))}" '
-            f'x2="{_fmt(fr.px(mu))}" y2="{_fmt(fr.py(y_hi))}" '
-            f'stroke="gray" stroke-dasharray="6 3"/>'
-        )
+        parts.append(_vline(fr, "vertical-wall", float(mu_slope(v)), "gray", "6 3"))
     parts.append(_hyperbola_polyline(v, fr))
-    for cand in candidates:
-        w = cand.wall
-        r = math.sqrt(float(w.radius_sq))
+    for w, r in zip(walls, radii):
         c = float(w.center)
         parts.append(
             f'<path class="wall-arc" d="M {_fmt(fr.px(c - r))} {_fmt(fr.py(0))} '
@@ -107,12 +111,7 @@ def render_walls_svg(
             f'text-anchor="middle">({w.center},{w.radius_sq})</text>'
         )
     if beta_star is not None:
-        b = float(beta_star)
-        parts.append(
-            f'<line class="query-line" x1="{_fmt(fr.px(b))}" y1="{_fmt(fr.py(0))}" '
-            f'x2="{_fmt(fr.px(b))}" y2="{_fmt(fr.py(y_hi))}" '
-            f'stroke="blue" stroke-dasharray="2 3"/>'
-        )
+        parts.append(_vline(fr, "query-line", float(beta_star), "blue", "2 3"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -122,12 +121,7 @@ def _hyperbola_polyline(v: ChernClass, fr: _Frame) -> str:
     if v.v0 == 0:
         if v.v1 == 0:
             return "<!-- no hyperbola -->"
-        b = float(Fraction(v.v2, v.v1))
-        return (
-            f'<line class="hyperbola" x1="{_fmt(fr.px(b))}" y1="{_fmt(fr.py(0))}" '
-            f'x2="{_fmt(fr.px(b))}" y2="{_fmt(fr.py(fr.y_hi))}" '
-            f'stroke="green" stroke-dasharray="4 3"/>'
-        )
+        return _vline(fr, "hyperbola", float(Fraction(v.v2, v.v1)), "green", "4 3")
     # the zero-slope locus is a = twist(v, beta).t2 / v0, one rational quadratic
     height = QuadPoly(v.v2 / v.v0, -Fraction(v.v1, v.v0), Fraction(1, 2))
     pts = []
@@ -155,13 +149,8 @@ def render_function_svg(fn: PiecewiseQuadratic) -> str:
     y_hi = max(y for _, y in values) or 1.0
     fr = _Frame(x_lo, x_hi, y_hi)
     pts = " ".join(f"{_fmt(fr.px(x))},{_fmt(fr.py(y))}" for x, y in values)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
-        f'viewBox="0 0 {int(_W)} {int(_H)}">',
-        f'<line x1="{_fmt(fr.px(x_lo))}" y1="{_fmt(fr.py(0))}" '
-        f'x2="{_fmt(fr.px(x_hi))}" y2="{_fmt(fr.py(0))}" stroke="black"/>',
-        f'<polyline class="function" points="{pts}" fill="none" stroke="blue"/>',
-    ]
+    parts = _preamble(fr)
+    parts.append(f'<polyline class="function" points="{pts}" fill="none" stroke="blue"/>')
     for b in fn.breakpoints:
         bx = float(b)
         parts.append(

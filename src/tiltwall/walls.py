@@ -86,10 +86,22 @@ NumericalWall = Union[Semicircle, VerticalWall]
 
 
 def wall_from_json(data: dict) -> NumericalWall:
-    if "beta" in data:
+    """The wall of either `to_json` form; any other data raises ValueError.
+
+    Besides "kind", a wall has exactly the keys of one form: "center" and
+    "radius_sq", or "beta".  "kind" may be left out; when given it must
+    name that form.
+    """
+    keys = set(data) - {"kind"}
+    if keys == {"beta"} and data.get("kind", "vertical") == "vertical":
         return VerticalWall(parse_rational(str(data["beta"])))
-    return Semicircle(
-        parse_rational(str(data["center"])), parse_rational(str(data["radius_sq"]))
+    if keys == {"center", "radius_sq"} and data.get("kind", "semicircle") == "semicircle":
+        return Semicircle(
+            parse_rational(str(data["center"])), parse_rational(str(data["radius_sq"]))
+        )
+    raise ValueError(
+        'a wall has exactly the keys "center" and "radius_sq" or exactly "beta", '
+        'and an optional "kind" naming that form'
     )
 
 

@@ -105,6 +105,24 @@ MUTANTS = [
         killed_by="tests/test_hntree.py::TestEvalAt::test_eval_at_follows_the_piece_rule",
     ),
     Mutant(
+        name="sample takes the right piece at a breakpoint",
+        module="hntree",
+        old="self.pieces[bisect_left(keys, x)]",
+        new="self.pieces[__import__('bisect').bisect_right(keys, x)]",
+        breaks="sample follows the piece rule of `eval_at`: the first i with "
+        "x <= breakpoints[i] (`PiecewiseQuadratic.sample`)",
+        killed_by="tests/test_hntree.py::TestSample::test_sample_equals_eval_at",
+    ),
+    Mutant(
+        name="jump term with v0*x subtracted",
+        module="hntree",
+        old="leaf.cls.v1 + leaf.cls.v0 * x",
+        new="leaf.cls.v1 - leaf.cls.v0 * x",
+        breaks="the jump term chd(G)'(x) = v1 + v0*x is sqrt(disc(G)) at x = -p_G "
+        "(jump proof of `ValidationReport.breakpoints`)",
+        killed_by="tests/test_catalog.py::test_expected_jumps",
+    ),
+    Mutant(
         name="negative-rank root accepted",
         module="hntree",
         old="if tree.cls.v0 < 0:",

@@ -390,6 +390,22 @@ class TestValidateCommand:
             assert code == 2 and out == "", argv
             assert err.startswith("error: ") and err.count("\n") == 1, argv
 
+    @pytest.mark.parametrize("wall", [
+        {"kind": "vertical", "center": "-3/2", "radius_sq": "1/4"},
+        {"center": "-3/2", "radius_sq": "1/4", "colour": "red"},
+        {"center": "-3/2"},
+    ], ids=["kind-mismatch", "unknown-key", "missing-key"])
+    def test_wall_of_neither_form_names_its_node(self, tmp_path, capsys, wall):
+        path = tmp_path / "bad.json"
+        two_points = tree_to_json(catalog.load_scenario("ppas-ideal-2").tree)
+        path.write_text(json.dumps({**two_points, "wall": wall}))
+        err = (
+            'error: tree node (2,0,-2): a wall has exactly the keys "center" and '
+            '"radius_sq" or exactly "beta", and an optional "kind" naming that form\n'
+        )
+        for argv in (["validate"], ["chd"], ["hn", "--a", "1/100", "--beta", "-1"]):
+            assert run(capsys, *argv, "--tree", str(path)) == (2, "", err), argv
+
 
 class TestHnCommand:
     def test_factors(self, capsys):

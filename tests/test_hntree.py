@@ -32,7 +32,7 @@ from tiltwall.lattice import (
     mu_slope,
 )
 from tiltwall.walls import Nesting, Semicircle, enumerate_candidates, nesting, wall_between
-from tiltwall import catalog
+from tiltwall import catalog, exactnum
 from conftest import chd0_value_by_factors, mutated_trees
 
 F = Fraction
@@ -272,8 +272,9 @@ def _near(b: QI, k: int) -> Fraction:
 
 @st.composite
 def functions_with_points(draw):
-    """A function and ascending points: random ones, every rational breakpoint,
-    and points within 2**-40 of each irrational breakpoint on either side."""
+    """A function and points in any order: random ones, every rational
+    breakpoint, and points within 2**-40 of each irrational breakpoint on
+    either side."""
     fn = draw(st.one_of(st.sampled_from(CATALOG_FUNCTIONS), mixed_field_functions()))
     ends = [float(b) for b in fn.breakpoints] or [0.0]
     lo, hi = math.floor(min(ends)) - 2, math.ceil(max(ends)) + 2
@@ -284,7 +285,7 @@ def functions_with_points(draw):
         else:
             offsets = st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=4)
             xs += [_near(b, k) for k in draw(offsets)]
-    return fn, sorted(xs)
+    return fn, draw(st.permutations(xs))
 
 
 def _piece_index(fn: PiecewiseQuadratic, x: QI) -> int:
@@ -309,18 +310,17 @@ class TestEvalAt:
 class TestSample:
     @settings(max_examples=150, deadline=None)
     @given(functions_with_points())
+    # discontinuous at the rational breakpoint 1, so only the left piece gives 0 there
+    @example((PiecewiseQuadratic([QI(1)], [QuadPoly(0), QuadPoly(1)]), [F(1)]))
+    # points in no order, repeats and breakpoints among them; and no points
+    @example((assemble_chd0(n4_tree()), [F(3), F(1, 2), F(2), F(7, 2), F(2), F(1), F(-1)]))
+    @example((assemble_chd0(n4_tree()), []))
     def test_sample_equals_eval_at(self, case):
         fn, xs = case
         values = fn.sample(xs)
         assert len(values) == len(xs)
         for x, y in zip(xs, values):
             assert type(y) is Fraction and QI(y) == fn.eval_at(x), x
-
-    def test_descending_points_raise(self):
-        fn = assemble_chd0(n4_tree())
-        with pytest.raises(ValueError, match="ascend"):
-            fn.sample([F(1), F(3, 2), F(3, 2), F(1, 2)])
-        assert fn.sample([]) == []
 
 
 class TestAssembly:
@@ -437,6 +437,18 @@ class TestBreakpointReports:
         assert not r.overlap
         assert r.condition_tags == frozenset({"a"})
 
+    def test_reports_never_decompose(self, monkeypatch):
+        # the walk took each leaf's one square root; the jumps are read off the intercepts
+        report = validate_tree(catalog.load_scenario("ppas-ideal-5-W2").tree)
+
+        def refuse(n):
+            raise RuntimeError(f"breakpoints() factored radicand {n}")
+
+        monkeypatch.setattr(exactnum, "squarefree_decompose", refuse)
+        reports = report.breakpoints()
+        monkeypatch.undo()
+        assert {r.x: r.derivative_jump for r in reports} == {QI(2): QI(2), QI(3): QI(0)}
+
     def test_contributing_leaves_are_the_tree_leaves(self):
         for sid in catalog.list_scenarios():
             tree = catalog.load_scenario(sid).tree
@@ -535,6 +547,10 @@ class TestCorrectByConstruction:
             assert quad_eval(right, report.x) - quad_eval(left, report.x) == (
                 report.derivative_jump
             )
+            # the jump proof: each leaf's term v1 - v0*p_G is sqrt(disc(G))
+            roots = [QI.sqrt(discriminant(l.cls)) for l in report.contributing_leaves]
+            assert [l.cls.v1 + l.cls.v0 * report.x for l in report.contributing_leaves] == roots
+            assert report.derivative_jump == sum(roots, QI(0))
 
     @pytest.mark.parametrize("index", range(len(ENUMERATED_TREES)))
     def test_grafted_rank0_leaf_of_negative_degree_is_refused(self, index):

@@ -135,6 +135,24 @@ class TestWallGeometry:
     def test_json_round_trip(self):
         for wall in (Semicircle(F(-7, 3), F(4, 9)), VerticalWall(F(1, 2))):
             assert wall_from_json(wall.to_json()) == wall
+            # "kind" may be left out
+            data = wall.to_json()
+            del data["kind"]
+            assert wall_from_json(data) == wall
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "vertical", "center": "-3/2", "radius_sq": "1/4"},
+        {"kind": "semicircle", "beta": "1"},
+        {"kind": "arc", "center": "-3/2", "radius_sq": "1/4"},
+        {"center": "-3/2", "radius_sq": "1/4", "colour": "red"},
+        {"center": "-3/2", "radius_sq": "1/4", "beta": "1"},
+        {"center": "-3/2"},
+        {},
+    ], ids=["kind-mismatch", "kind-mismatch-vertical", "unknown-kind", "unknown-key",
+            "both-forms", "missing-key", "empty"])
+    def test_json_of_neither_form_refused(self, data):
+        with pytest.raises(ValueError, match="exactly the keys"):
+            wall_from_json(data)
 
 
 class TestNesting:
