@@ -1,26 +1,30 @@
 """Exact arithmetic substrate: rationals, quadratic irrationals, quadratic polynomials.
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced).
-Quadratic irrationals are values a + b*sqrt(d) with rational a, b and
-squarefree d >= 0, canonicalized so that b == 0 iff d == 0.  All comparisons
-are exact; no floating point is used anywhere in this module.
+A quadratic irrational is held as four integers: the value (A + B*sqrt(d))/C
+with C > 0, gcd(A, B, C) = 1, and d squarefree and not 1 or d = 0, where
+B == 0 iff d == 0.  That form is unique, so equality is structural.  All
+comparisons are exact; no floating point is used anywhere in this module.
 
 Every irrational is born in `QuadraticIrrational.sqrt`, the only place that
 factors a radicand; the constructor `QuadraticIrrational(a)` only embeds a
 rational.  The cost of a ring operation does not depend on the radicand:
-the ring operations combine canonical operands of one field Q(sqrt(d)), so
-their results are built by the trusted constructor
-`QuadraticIrrational._canonical`, which never factors.  `squarefree_decompose`
+the ring operations combine operands of one field Q(sqrt(d)) in integer
+arithmetic, an `int` or `Fraction` operand taken as (A, 0, 1) or
+(numerator, 0, denominator) without building a value for it, and the
+trusted constructor `_canonical` reduces the result with one `math.gcd` and
+never factors.  No ring operation, sign, comparison or `quad_eval` builds a
+`Fraction`; only the read-only `a` and `b` do.  `squarefree_decompose`
 trial-divides only up to the cube root of the cofactor.
 
 Order is one closed-form rule in integers, with no approximation and no
 loop: `_sign(A, B, D)` is the sign of A + B*sqrt(D), the common sign of A
 and B when they agree or one is 0, and otherwise sign(A)*sign(A^2 - B^2*D).
-`sign` clears the denominators of a + b*sqrt(d) into one such call.
-`compare` clears those of the difference: within one field, or against a
-rational, that is one call; across two fields it is the sign of
-S*sqrt(d1) + T*sqrt(d2), never 0, and at most one more call (proofs in the
-docstrings of `_sign` and `compare`).
+As C > 0, `sign` is `_sign(A, B, d)`.  `compare` clears the denominators of
+the difference by C1*C2: within one field, or against a rational, that is
+one call; across two fields it is the sign of S*sqrt(d1) + T*sqrt(d2),
+never 0, and at most one more call (proofs in the docstrings of `_sign` and
+`compare`).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -99,133 +103,162 @@ def _sign(A: int, B: int, D: int) -> int:
     return sa * ((x > 0) - (x < 0))
 
 
-class QuadraticIrrational:
-    """Exact real value a + b*sqrt(d), with d a squarefree nonnegative integer.
+def _canonical(A: int, B: int, C: int, d: int) -> "QuadraticIrrational":
+    """Trusted constructor: the value (A + B*sqrt(d))/C, without factoring d.
 
-    Canonical form: d squarefree and not 1, and b == 0 iff d == 0.  Equality
-    is then structural.  Instances are immutable.  `QuadraticIrrational(a)`
-    embeds the rational a; an irrational is built from `sqrt` and the ring
-    operations, for example `1 + 2 * QuadraticIrrational.sqrt(5)`.
+    The caller guarantees that A, B and C are ints with C > 0, and that d is
+    0 or a squarefree integer other than 1, with d == 0 only when B == 0.
+    Here B == 0 collapses d to 0, and one gcd divides out the common factor
+    of A, B and C.  The stored form is then the unique one: a value has one
+    rational part a = A/C and one coefficient b = B/C, the radicand of an
+    irrational is its field's squarefree d, and the lowest terms of the pair
+    (a, b) over one positive denominator are (A, B, C) with gcd 1.  So two
+    canonical values are equal exactly when their four integers are, and
+    `__eq__` and `__hash__` compare them as stored.  Callers and why they
+    qualify:
+
+    - the ring operations: C is a product of positive denominators, and d
+      is the radicand of an operand (`_field`), so it is 0 or squarefree
+      and never 1.  A sum or product whose irrational part cancels (say a
+      conjugate product) is rational and collapses here.
+    - `sqrt`: d is the squarefree part returned by its one decomposition
+      of num*den, with d == 1 handled there as a rational root.  It is the
+      only caller that factors, so every irrational starts there.
+    - `quad_eval`: d is the radicand of its argument x, and C = L*C_x**2.
+      A value whose irrational part B_x*(A1*C_x + 2*A2*A_x) is 0 collapses
+      here.
+    """
+    if not B:
+        d = 0
+    g = math.gcd(A, B, C)
+    if g != 1:
+        A //= g
+        B //= g
+        C //= g
+    self = object.__new__(QuadraticIrrational)
+    self._A, self._B, self._C, self._d = A, B, C, d
+    return self
+
+
+def _operand(x) -> Optional[tuple[int, int, int, int]]:
+    """(A, B, C, d) of an operand: a quadratic irrational's own integers, an
+    int n as (n, 0, 1, 0), a Fraction as (numerator, 0, denominator, 0);
+    None for any other type."""
+    if isinstance(x, QuadraticIrrational):
+        return x._A, x._B, x._C, x._d
+    if isinstance(x, int):
+        return x, 0, 1, 0
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator, 0
+    return None
+
+
+class QuadraticIrrational:
+    """Exact real value (A + B*sqrt(d))/C = a + b*sqrt(d), d squarefree.
+
+    Canonical form (see `_canonical`): C > 0, gcd(A, B, C) = 1, d squarefree
+    and not 1, and B == 0 iff d == 0.  Equality is then structural.
+    Instances are immutable: the rational part `a`, the coefficient `b` and
+    the radicand `d` are read-only properties, and the four integers are
+    written only by the constructors.  `QuadraticIrrational(a)` embeds the
+    rational a; an irrational is built from `sqrt` and the ring operations,
+    for example `1 + 2 * QuadraticIrrational.sqrt(5)`.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_A", "_B", "_C", "_d")
 
     def __init__(self, a: RationalLike):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(0))
-        object.__setattr__(self, "d", 0)
-
-    @classmethod
-    def _canonical(cls, a: Fraction, b: Fraction, d: int) -> "QuadraticIrrational":
-        """Trusted constructor: build a + b*sqrt(d) without factoring d.
-
-        The caller guarantees that a and b are Fractions and that d is 0 or a
-        squarefree integer other than 1.  Only the collapse b == 0 => d = 0 is
-        applied.  Callers and why they qualify:
-
-        - `__add__`, `__neg__` and `__mul__`: both operands are canonical and
-          `_common_field` returns the radicand of one of them, so d is 0 or
-          squarefree and never 1.  A sum or product whose irrational part
-          cancels (say a conjugate product) is rational and collapses here.
-        - `sqrt`: d is the squarefree part returned by its one decomposition
-          of num*den, with d == 1 handled there as a rational root.  It is
-          the only caller that factors, so every irrational starts there.
-        - `quad_eval`: d is the canonical radicand of its argument x, and
-          both parts of its closed form are Fractions.  A value whose
-          irrational part b*(c1 + 2*c2*a) is 0 collapses here.
-        """
-        if b == 0:
-            d = 0
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticIrrational is immutable")
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        self._A, self._B, self._C, self._d = a.numerator, 0, a.denominator, 0
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def sqrt(cls, q: RationalLike) -> "QuadraticIrrational":
         """Exact square root of a nonnegative rational."""
-        q = Fraction(q)
-        if q < 0:
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        n, m = q.numerator, q.denominator
+        if n < 0:
             raise ValueError("square root of a negative rational")
-        if q == 0:
+        if n == 0:
             return cls(0)
-        # sqrt(p/q) = sqrt(p*q)/q
-        s, d = squarefree_decompose(q.numerator * q.denominator)
+        # sqrt(n/m) = sqrt(n*m)/m = s*sqrt(d)/m
+        s, d = squarefree_decompose(n * m)
         if d == 1:
-            return cls._canonical(Fraction(s, q.denominator), Fraction(0), 0)
-        return cls._canonical(Fraction(0), Fraction(s, q.denominator), d)
+            return _canonical(s, 0, m, 0)
+        return _canonical(0, s, m, d)
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def a(self) -> Fraction:
+        """The rational part A/C."""
+        return Fraction(self._A, self._C)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient B/C of sqrt(d)."""
+        return Fraction(self._B, self._C)
+
+    @property
+    def d(self) -> int:
+        """The radicand: 0 for a rational, else squarefree and not 1."""
+        return self._d
+
+    @property
     def is_rational(self) -> bool:
-        return self.d == 0
+        return self._d == 0
 
     def sign(self) -> int:
-        """Exact sign of the value, in {-1, 0, 1}.
-
-        The value times a.den*b.den > 0 is A + B*sqrt(d) with the integers
-        A = a.num*b.den and B = b.num*a.den, so `_sign` settles it.
-        """
-        a, b = self.a, self.b
-        return _sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d)
+        """Exact sign of the value, in {-1, 0, 1}: that of A + B*sqrt(d), as C > 0."""
+        return _sign(self._A, self._B, self._d)
 
     # -- arithmetic (same-field or rational operands) ----------------------
 
-    @staticmethod
-    def _coerce(x) -> "QuadraticIrrational":
-        if isinstance(x, QuadraticIrrational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadraticIrrational(x)
-        return NotImplemented
-
-    def _common_field(self, other: "QuadraticIrrational") -> int:
-        if self.d == 0:
-            return other.d
-        if other.d == 0 or other.d == self.d:
-            return self.d
-        raise ValueError(
-            f"values live in different quadratic fields (sqrt({self.d}) vs sqrt({other.d}))"
-        )
+    def _field(self, d: int) -> int:
+        """The radicand of a result with an operand of radicand d."""
+        if d and d != self._d:
+            if self._d:
+                raise ValueError(
+                    f"values live in different quadratic fields (sqrt({self._d}) vs sqrt({d}))"
+                )
+            return d
+        return self._d
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        d = self._common_field(other)
-        return QuadraticIrrational._canonical(self.a + other.a, self.b + other.b, d)
+        A, B, C, d = o
+        c = self._C
+        return _canonical(self._A * C + A * c, self._B * C + B * c, c * C, self._field(d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticIrrational._canonical(-self.a, -self.b, self.d)
+        return _canonical(-self._A, -self._B, self._C, self._d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        return self + (-other)
+        A, B, C, d = o
+        c = self._C
+        return _canonical(self._A * C - A * c, self._B * C - B * c, c * C, self._field(d))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        d = self._common_field(other)
-        return QuadraticIrrational._canonical(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        A, B, C, d = o
+        d = self._field(d)
+        a, b = self._A, self._B
+        return _canonical(a * A + b * B * d, a * B + b * A, self._C * C, d)
 
     __rmul__ = __mul__
 
@@ -234,10 +267,10 @@ class QuadraticIrrational:
     def compare(self, other) -> int:
         """Exact three-way comparison, valid across different fields.
 
-        The difference is r + s*sqrt(d1) + t*sqrt(d2) with r = a1 - a2,
-        s = b1 and t = -b2; times the common denominator L > 0 of a1, a2, b1
-        and b2 it is R + S*sqrt(d1) + T*sqrt(d2) in integers.  Canonical
-        forms give S = 0 when d1 = 0 and T = 0 when d2 = 0.
+        The difference (A1 + B1*sqrt(d1))/C1 - (A2 + B2*sqrt(d2))/C2 times
+        C1*C2 > 0 is R + S*sqrt(d1) + T*sqrt(d2) with the integers
+        R = A1*C2 - A2*C1, S = B1*C2 and T = -B2*C1.  Canonical forms give
+        S = 0 when d1 = 0 and T = 0 when d2 = 0.
 
         Same field, or one operand rational: the difference is
         R + (S + T)*sqrt(d) with d the one radicand, and `_sign` settles it.
@@ -254,14 +287,14 @@ class QuadraticIrrational:
         R^2 - u^2 = (R^2 - S^2*d1 - T^2*d2) - 2*S*T*sqrt(d1*d2) is one more
         `_sign`.  No enclosure or loop is needed.
         """
-        x = self._coerce(other)
-        if x is NotImplemented:
+        o = _operand(other)
+        if o is None:
             raise TypeError(f"cannot compare with {other!r}")
-        a1, b1, d1, a2, b2, d2 = self.a, self.b, self.d, x.a, x.b, x.d
-        L = math.lcm(a1.denominator, a2.denominator, b1.denominator, b2.denominator)
-        R = a1.numerator * (L // a1.denominator) - a2.numerator * (L // a2.denominator)
-        S = b1.numerator * (L // b1.denominator)
-        T = -b2.numerator * (L // b2.denominator)
+        A2, B2, C2, d2 = o
+        C1, d1 = self._C, self._d
+        R = self._A * C2 - A2 * C1
+        S = self._B * C2
+        T = -B2 * C1
         if d1 == 0 or d2 == 0 or d1 == d2:
             return _sign(R, S + T, d1 or d2)
         u = _sign(S * abs(S) * d1 + T * abs(T) * d2, 0, 0)
@@ -270,10 +303,17 @@ class QuadraticIrrational:
         return -u * _sign(R * R - S * S * d1 - T * T * d2, -2 * S * T, d1 * d2)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.d == 0 and self.a == other
         if isinstance(other, QuadraticIrrational):
-            return self.a == other.a and self.b == other.b and self.d == other.d
+            return (
+                self._A == other._A and self._B == other._B
+                and self._C == other._C and self._d == other._d
+            )
+        if isinstance(other, int):
+            return self._d == 0 and self._C == 1 and self._A == other
+        if isinstance(other, Fraction):
+            return (
+                self._d == 0 and self._A == other.numerator and self._C == other.denominator
+            )
         return NotImplemented
 
     def __lt__(self, other):
@@ -289,26 +329,53 @@ class QuadraticIrrational:
         return self.compare(other) >= 0
 
     def __hash__(self):
-        if self.d == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        """A rational hashes as its Fraction (so as its int when C == 1);
+        an irrational as its four integers."""
+        if self._d == 0:
+            return hash(self._A) if self._C == 1 else hash(Fraction(self._A, self._C))
+        return hash((self._A, self._B, self._C, self._d))
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        """A/C + (B/C)*sqrt(d).  `int / int` is correctly rounded, as is
+        `float(Fraction)`, so A/C and B/C are the floats of a and b."""
+        return self._A / self._C + self._B / self._C * math.sqrt(self._d)
 
     # -- text --------------------------------------------------------------
 
     def __str__(self):
-        if self.d == 0:
+        if self._d == 0:
             return format_rational(self.a)
-        sign = "+" if self.b >= 0 else "-"
-        return f"{format_rational(self.a)}{sign}{format_rational(abs(self.b))}*sqrt({self.d})"
+        sign = "+" if self._B >= 0 else "-"
+        return f"{format_rational(self.a)}{sign}{format_rational(abs(self.b))}*sqrt({self._d})"
 
     def __repr__(self):
         rational = f"QuadraticIrrational({self.a!r})"
-        if self.d == 0:
+        if self._d == 0:
             return rational
-        return f"{rational} + {self.b!r} * QuadraticIrrational.sqrt({self.d})"
+        return f"{rational} + {self.b!r} * QuadraticIrrational.sqrt({self._d})"
+
+
+class IntegerForm(NamedTuple):
+    """A quadratic polynomial (A0 + A1*x + A2*x**2)/L in integers, L > 0."""
+
+    A0: int
+    A1: int
+    A2: int
+    L: int
+
+    def numerator_at(self, k: int, q: int) -> int:
+        """The integer p(k/q)*L*q**2 = (A0*q + A1*k)*q + A2*k**2."""
+        return (self.A0 * q + self.A1 * k) * q + self.A2 * k * k
+
+    def at(self, x: RationalLike) -> Fraction:
+        """Exact value at the rational x = k/q, built as one Fraction.
+
+        p(k/q) = (A0*q**2 + A1*k*q + A2*k**2) / (L*q**2)
+               = ((A0*q + A1*k)*q + A2*k**2) / (L*q**2),
+        a quotient of integers, so the one `Fraction` that reduces it is exact.
+        """
+        q = x.denominator
+        return Fraction(self.numerator_at(x.numerator, q), self.L * q * q)
 
 
 @dataclass(frozen=True)
@@ -320,9 +387,10 @@ class QuadPoly:
     c2: Fraction
 
     def __init__(self, c0: RationalLike, c1: RationalLike = 0, c2: RationalLike = 0):
-        object.__setattr__(self, "c0", Fraction(c0))
-        object.__setattr__(self, "c1", Fraction(c1))
-        object.__setattr__(self, "c2", Fraction(c2))
+        # a Fraction is immutable, so one is kept as given rather than copied
+        object.__setattr__(self, "c0", c0 if type(c0) is Fraction else Fraction(c0))
+        object.__setattr__(self, "c1", c1 if type(c1) is Fraction else Fraction(c1))
+        object.__setattr__(self, "c2", c2 if type(c2) is Fraction else Fraction(c2))
 
     @property
     def is_zero(self) -> bool:
@@ -344,22 +412,21 @@ class QuadPoly:
     def derivative(self) -> "QuadPoly":
         return QuadPoly(self.c1, 2 * self.c2, 0)
 
-    def eval_rational(self, x: RationalLike) -> Fraction:
-        """Exact value at the rational x = k/q, built as one Fraction.
-
-        With L the lcm of the coefficient denominators, the A_i = c_i*L are
-        integers and
-        p(k/q) = (A0*q**2 + A1*k*q + A2*k**2) / (L*q**2)
-               = ((A0*q + A1*k)*q + A2*k**2) / (L*q**2),
-        a quotient of integers, so the one `Fraction` that reduces it is exact.
-        """
-        k, q = x.numerator, x.denominator
+    def integer_form(self) -> IntegerForm:
+        """The coefficients over one denominator: A_i = c_i*L, with L > 0 the
+        lcm of the coefficient denominators, so p = (A0 + A1*x + A2*x**2)/L."""
         c0, c1, c2 = self.c0, self.c1, self.c2
         L = math.lcm(c0.denominator, c1.denominator, c2.denominator)
-        A0 = c0.numerator * (L // c0.denominator)
-        A1 = c1.numerator * (L // c1.denominator)
-        A2 = c2.numerator * (L // c2.denominator)
-        return Fraction((A0 * q + A1 * k) * q + A2 * k * k, L * q * q)
+        return IntegerForm(
+            c0.numerator * (L // c0.denominator),
+            c1.numerator * (L // c1.denominator),
+            c2.numerator * (L // c2.denominator),
+            L,
+        )
+
+    def eval_rational(self, x: RationalLike) -> Fraction:
+        """Exact value at the rational x (`IntegerForm.at`)."""
+        return self.integer_form().at(x)
 
     def __str__(self):
         return (
@@ -371,18 +438,23 @@ class QuadPoly:
 def quad_eval(p: QuadPoly, x) -> QuadraticIrrational:
     """Exact value p(x); the result stays in the field Q(sqrt(d)) of x.
 
-    For x = a + b*sqrt(d), expanding c0 + c1*x + c2*x**2 with
-    sqrt(d)**2 = d gives the closed form
-    p(x) = (p(a) + c2*b**2*d) + b*(c1 + 2*c2*a)*sqrt(d).
-    Both parts are rational: p(a) is `eval_rational(a)`, the rest is
-    `Fraction` arithmetic, so the value is exact.  d is the canonical
-    radicand of x, so the trusted `QuadraticIrrational._canonical` builds
-    the result and collapses it to a rational when its b is 0.
+    With p = (A0 + A1*x + A2*x**2)/L (`QuadPoly.integer_form`) and
+    x = (A + B*sqrt(d))/C, expanding with sqrt(d)**2 = d gives the closed form
+    p(x) = (N0 + N1*sqrt(d)) / (L*C**2) with the integers
+    N0 = (A0*C + A1*A)*C + A2*(A**2 + B**2*d)  and  N1 = B*(A1*C + 2*A2*A):
+    A0*C**2 is the constant term, A1*C*(A + B*sqrt(d)) the linear one, and
+    A2*(A + B*sqrt(d))**2 = A2*(A**2 + B**2*d) + 2*A2*A*B*sqrt(d).  d is the
+    radicand of x and L*C**2 > 0, so the trusted `_canonical` builds the
+    result and collapses it to a rational when N1 is 0.
     """
-    x = QuadraticIrrational._coerce(x)
-    if x is NotImplemented:
+    o = _operand(x)
+    if o is None:
         raise TypeError("quad_eval expects a QuadraticIrrational or rational")
-    a, b, d = x.a, x.b, x.d
-    return QuadraticIrrational._canonical(
-        p.eval_rational(a) + p.c2 * b * b * d, b * (p.c1 + 2 * p.c2 * a), d
+    A, B, C, d = o
+    A0, A1, A2, L = p.integer_form()
+    return _canonical(
+        (A0 * C + A1 * A) * C + A2 * (A * A + B * B * d),
+        B * (A1 * C + 2 * A2 * A),
+        L * C * C,
+        d,
     )

@@ -388,10 +388,12 @@ class PiecewiseQuadratic:
         same breakpoints, with a rational breakpoint compared as its Fraction
         and an irrational one by the exact `QuadraticIrrational` comparison.
         On its piece the value is the rational pieces[i](x), the same number
-        that `eval_at(x)` returns as a rational quadratic irrational.
+        that `eval_at(x)` returns as a rational quadratic irrational, taken
+        from the piece's `integer_form`, which is built once per call.
         """
         keys = [b.a if b.is_rational else b for b in self.breakpoints]
-        return [self.pieces[bisect_left(keys, x)].eval_rational(x) for x in xs]
+        forms = [p.integer_form() for p in self.pieces]
+        return [forms[bisect_left(keys, x)].at(x) for x in xs]
 
     def check_continuity(self) -> bool:
         for i, b in enumerate(self.breakpoints):

@@ -126,18 +126,29 @@ class TwistedClass(NamedTuple):
 
 
 def twist(v: ChernClass, beta) -> TwistedClass:
-    """Twisted character at beta: (v0, v1 - beta*v0, v2 - beta*v1 + (beta^2/2)*v0)."""
-    beta = Fraction(beta)
+    """Twisted character at beta: (v0, v1 - beta*v0, v2 - beta*v1 + (beta^2/2)*v0).
+
+    With beta = k/m and v2 = n/q each component is one quotient of integers:
+    t1 = (v1*m - k*v0)/m and t2 = (2*m^2*n - 2*k*m*q*v1 + k^2*q*v0)/(2*m^2*q).
+    """
+    if not isinstance(beta, (int, Fraction)):
+        beta = Fraction(beta)
+    k, m = beta.numerator, beta.denominator
+    n, q = v.v2.numerator, v.v2.denominator
     return TwistedClass(
         Fraction(v.v0),
-        v.v1 - beta * v.v0,
-        v.v2 - beta * v.v1 + beta * beta * v.v0 / 2,
+        Fraction(v.v1 * m - k * v.v0, m),
+        Fraction(2 * m * m * n - 2 * k * m * q * v.v1 + k * k * q * v.v0, 2 * m * m * q),
     )
 
 
 def discriminant(v: ChernClass) -> Fraction:
-    """The quadratic form v1^2 - 2*v0*v2 (invariant under twisting)."""
-    return Fraction(v.v1 * v.v1) - 2 * v.v0 * v.v2
+    """The quadratic form v1^2 - 2*v0*v2 (invariant under twisting).
+
+    With v2 = n/q it is the one quotient of integers (v1^2*q - 2*v0*n)/q.
+    """
+    n, q = v.v2.numerator, v.v2.denominator
+    return Fraction(v.v1 * v.v1 * q - 2 * v.v0 * n, q)
 
 
 def central_charge(v: ChernClass, a, beta) -> tuple[Fraction, Fraction]:

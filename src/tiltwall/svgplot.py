@@ -41,10 +41,16 @@ def function_range(fn: PiecewiseQuadratic) -> tuple[float, float]:
     return float(first) - 1.0, float(last) + 1.0
 
 
+def _grid_numerators(lo: float, hi: float, steps: int, den: int) -> list[int]:
+    """The numerators over den of `rational_grid`: each the rounding of one of
+    steps + 1 evenly spaced floats from lo to hi, times den."""
+    return [round((lo + (hi - lo) * i / steps) * den) for i in range(steps + 1)]
+
+
 def rational_grid(lo: float, hi: float, steps: int, den: int) -> list[Fraction]:
     """steps + 1 rationals over den, each the rounding of one of the evenly spaced
     floats from lo to hi."""
-    return [Fraction(round((lo + (hi - lo) * i / steps) * den), den) for i in range(steps + 1)]
+    return [Fraction(k, den) for k in _grid_numerators(lo, hi, steps, den)]
 
 
 class _Frame:
@@ -122,17 +128,21 @@ def _hyperbola_polyline(v: ChernClass, fr: _Frame) -> str:
         if v.v1 == 0:
             return "<!-- no hyperbola -->"
         return _vline(fr, "hyperbola", float(Fraction(v.v2, v.v1)), "green", "4 3")
-    # the zero-slope locus is a = twist(v, beta).t2 / v0, one rational quadratic
-    height = QuadPoly(v.v2 / v.v0, -Fraction(v.v1, v.v0), Fraction(1, 2))
+    # the zero-slope locus is a = twist(v, beta).t2 / v0, one rational quadratic,
+    # evaluated at beta = k/1024 as the integer quotient a = N/(L*1024**2);
+    # int / int is correctly rounded, so it is the float of the exact a
+    height = QuadPoly(v.v2 / v.v0, -Fraction(v.v1, v.v0), Fraction(1, 2)).integer_form()
+    den = 1024
+    scale = height.L * den * den
     pts = []
-    for beta in rational_grid(fr.x_lo, fr.x_hi, 200, 1024):
-        a = height.eval_rational(beta)
-        if a < 0:
+    for k in _grid_numerators(fr.x_lo, fr.x_hi, 200, den):
+        n = height.numerator_at(k, den)
+        if n < 0:
             continue
-        alpha = math.sqrt(2 * float(a))
+        alpha = math.sqrt(2 * (n / scale))
         if alpha > fr.y_hi:
             continue
-        pts.append(f"{_fmt(fr.px(float(beta)))},{_fmt(fr.py(alpha))}")
+        pts.append(f"{_fmt(fr.px(k / den))},{_fmt(fr.py(alpha))}")
     if not pts:
         return "<!-- hyperbola outside viewport -->"
     return (

@@ -2,17 +2,18 @@
 
 These are the evaluations as they were before the closed forms: at a
 rational, c0 + x*(c1 + c2*x) in `Fraction` arithmetic; at a quadratic
-irrational, x*x*c2 + x*c1 + c0 in `QuadraticIrrational` ring operations.
-They read only the public coefficients c0, c1, c2 and are spelled out here
-rather than imported, so a change to the library's formulas cannot silently
-change the oracle.
+irrational, x*x*c2 + x*c1 + c0 in the ring operations of the Fraction-pair
+class of `qi_oracle`, not of the integer class whose closed form they check.
+They read only the public coefficients c0, c1, c2 and the public a, b, d of
+x, and are spelled out here rather than imported, so a change to the
+library's formulas cannot silently change the oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from tiltwall.exactnum import QuadraticIrrational
+from qi_oracle import QuadraticIrrational as OracleQI, from_parts
 
 
 def horner_eval_rational(p, x) -> Fraction:
@@ -21,8 +22,8 @@ def horner_eval_rational(p, x) -> Fraction:
     return p.c0 + x * (p.c1 + p.c2 * x)
 
 
-def ring_quad_eval(p, x) -> QuadraticIrrational:
-    """Exact value p(x) at a quadratic irrational x, by ring operations."""
-    if not isinstance(x, QuadraticIrrational):
-        x = QuadraticIrrational(x)
-    return x * x * p.c2 + x * p.c1 + QuadraticIrrational(p.c0)
+def ring_quad_eval(p, x) -> OracleQI:
+    """Exact value p(x) at a rational or quadratic irrational x, by the
+    oracle class's ring operations."""
+    x = OracleQI(x) if isinstance(x, (int, Fraction)) else from_parts(x.a, x.b, x.d)
+    return x * x * p.c2 + x * p.c1 + OracleQI(p.c0)

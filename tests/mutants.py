@@ -39,6 +39,10 @@ RANK_WINDOW = (
 INTEGER_WINDOW = "tests/test_walls.py::TestIntegerWindow::test_fixed_queries_keep_candidates"
 ONE_VIOLATION = "tests/test_cli.py::TestValidateCommand::test_one_violation_exits_1_everywhere"
 EVAL_ORACLE = "tests/test_exactnum.py::TestEvalOracle"
+QI_ORACLE = "tests/test_exactnum.py::TestQIOracle"
+LATTICE_FORMS = (
+    "tests/test_lattice.py::TestTwistAndDiscriminant::test_integer_forms_match_fraction_formulas"
+)
 
 # pytest in a process that first registers the `mutants` hypothesis profile
 PYTEST = (
@@ -107,8 +111,8 @@ MUTANTS = [
     Mutant(
         name="sample takes the right piece at a breakpoint",
         module="hntree",
-        old="self.pieces[bisect_left(keys, x)]",
-        new="self.pieces[__import__('bisect').bisect_right(keys, x)]",
+        old="forms[bisect_left(keys, x)]",
+        new="forms[__import__('bisect').bisect_right(keys, x)]",
         breaks="sample follows the piece rule of `eval_at`: the first i with "
         "x <= breakpoints[i] (`PiecewiseQuadratic.sample`)",
         killed_by="tests/test_hntree.py::TestSample::test_sample_equals_eval_at",
@@ -158,19 +162,19 @@ MUTANTS = [
         killed_by=ORDER_ORACLE,
     ),
     Mutant(
-        name="closed form at a + b*sqrt(d) without b^2*d",
+        name="closed form at (A + B*sqrt(d))/C without B^2*d",
         module="exactnum",
-        old="p.eval_rational(a) + p.c2 * b * b * d,",
-        new="p.eval_rational(a),",
-        breaks="c2*x^2 contributes c2*b^2*d to the rational part (closed form of `quad_eval`)",
+        old="A2 * (A * A + B * B * d),",
+        new="A2 * (A * A),",
+        breaks="A2*x^2 contributes A2*B^2*d to the rational part (closed form of `quad_eval`)",
         killed_by=EVAL_ORACLE + "::test_quad_eval_matches_ring_ops",
     ),
     Mutant(
-        name="closed form at a + b*sqrt(d) without the 2 of 2*a*b",
+        name="closed form at (A + B*sqrt(d))/C without the 2 of 2*A*B",
         module="exactnum",
-        old="b * (p.c1 + 2 * p.c2 * a)",
-        new="b * (p.c1 + p.c2 * a)",
-        breaks="c2*x^2 contributes 2*c2*a*b to the sqrt(d) part (closed form of `quad_eval`)",
+        old="B * (A1 * C + 2 * A2 * A)",
+        new="B * (A1 * C + A2 * A)",
+        breaks="A2*x^2 contributes 2*A2*A*B to the sqrt(d) part (closed form of `quad_eval`)",
         killed_by=EVAL_ORACLE + "::test_quad_eval_matches_ring_ops",
     ),
     Mutant(
@@ -180,6 +184,32 @@ MUTANTS = [
         new="L * q)",
         breaks="p(k/q) = ((A0*q + A1*k)*q + A2*k^2) / (L*q^2) (closed form of `eval_rational`)",
         killed_by=EVAL_ORACLE + "::test_eval_rational_matches_horner",
+    ),
+    Mutant(
+        name="quadratic irrational without gcd normalisation",
+        module="exactnum",
+        old="g = math.gcd(A, B, C)",
+        new="g = 1",
+        breaks="the stored (A, B, C) has gcd 1, so equality and hash are structural "
+        "(trust contract of `_canonical`)",
+        killed_by=QI_ORACLE + "::test_ring_ops_match_oracle",
+    ),
+    Mutant(
+        name="integer discriminant without q",
+        module="lattice",
+        old="Fraction(v.v1 * v.v1 * q - 2 * v.v0 * n, q)",
+        new="Fraction(v.v1 * v.v1 - 2 * v.v0 * n, q)",
+        breaks="v1^2 - 2*v0*n/q = (v1^2*q - 2*v0*n)/q (integer form of `discriminant`)",
+        killed_by=LATTICE_FORMS,
+    ),
+    Mutant(
+        name="integer twist with +beta*v1",
+        module="lattice",
+        old="- 2 * k * m * q * v.v1 +",
+        new="+ 2 * k * m * q * v.v1 +",
+        breaks="t2 = v2 - beta*v1 + (beta^2/2)*v0 "
+        "= (2*m^2*n - 2*k*m*q*v1 + k^2*q*v0)/(2*m^2*q) (integer form of `twist`)",
+        killed_by=LATTICE_FORMS,
     ),
     Mutant(
         name="rank window one less",

@@ -1,4 +1,6 @@
 import math
+import operator
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from compare_oracle import case_sign, enclosure_compare
 from eval_oracle import horner_eval_rational, ring_quad_eval
+from qi_oracle import QuadraticIrrational as OracleQI, quad_eval as oracle_quad_eval
 from squarefree_oracle import is_prime, squarefree_decompose_sqrt
 from tiltwall import exactnum
 from tiltwall.exactnum import (
@@ -23,6 +26,14 @@ rationals = st.fractions(
 
 def parts(x: QI) -> tuple:
     return (x.a, x.b, x.d)
+
+
+def assert_canonical(z: QI) -> None:
+    """z is stored as (A + B*sqrt(d))/C with C > 0, gcd(A, B, C) = 1, and
+    B == 0 iff d == 0, with d squarefree and not 1."""
+    assert all(type(n) is int for n in (z._A, z._B, z._C, z._d))
+    assert z._C > 0 and math.gcd(z._A, z._B, z._C) == 1
+    assert (z._B == 0) is (z.d == 0) and z.d != 1
 
 
 class TestSquarefreeDecompose:
@@ -112,8 +123,9 @@ class TestCanonicalForm:
 
     def test_immutable(self):
         x = 1 + QI.sqrt(2)
-        with pytest.raises(AttributeError):
-            x.a = Fraction(2)
+        for name, value in (("a", Fraction(2)), ("b", Fraction(0)), ("d", 3), ("c", 1)):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
 
 
 class TestSignAndOrder:
@@ -277,8 +289,7 @@ class TestCanonicalOps:
         assert results[-1] * results[-1] == QI(abs(a1))
         for z in results:
             assert type(z.a) is Fraction and type(z.b) is Fraction and type(z.d) is int
-            # b = 0 iff d = 0, and d is squarefree and not 1
-            assert (z.b == 0) is (z.d == 0) and z.d != 1
+            assert_canonical(z)
             assert z.d == 0 or squarefree_decompose(z.d)[0] == 1
             assert z.d != 0 or hash(z) == hash(z.a)
 
@@ -356,9 +367,176 @@ class TestEvalOracle:
     @example(QuadPoly(0, 0, 1), QI.sqrt(7))
     @example(QuadPoly(-2, 0, 1), QI.sqrt(2))
     def test_quad_eval_matches_ring_ops(self, p, x):
-        got, expected = quad_eval(p, x), ring_quad_eval(p, x)
-        assert got == expected
-        assert hash(got) == hash(expected)
-        assert str(got) == str(expected)
-        assert type(got.a) is Fraction and type(got.b) is Fraction
-        assert (got.b == 0) is (got.d == 0)
+        assert_twins(quad_eval(p, x), ring_quad_eval(p, x))
+
+
+def assert_twins(z: QI, oz: OracleQI) -> None:
+    """z is the library's value of the oracle's value oz: the same a, b and d,
+    text and float; equal to a rational exactly when oz is; for a rational,
+    the hash of its Fraction; for an irrational, the hash of the same value
+    built again from its parts; and stored canonically."""
+    assert type(z) is QI and type(z.a) is Fraction and type(z.b) is Fraction
+    assert (z.a, z.b, z.d) == (oz.a, oz.b, oz.d)
+    assert (str(z), repr(z), float(z)) == (str(oz), repr(oz), float(oz))
+    assert (z == oz.a) is (oz == oz.a) and (z == z.a.numerator) is (oz == oz.a.numerator)
+    assert_canonical(z)
+    if oz.is_rational:
+        assert hash(z) == hash(oz) == hash(oz.a)
+    else:
+        assert hash(z) == hash(QI(z.a) + z.b * QI.sqrt(z.d))
+
+
+radicands = st.one_of(
+    st.integers(min_value=0, max_value=10**11),
+    st.integers(min_value=0, max_value=10**5).map(lambda r: r * r),
+)
+ints = st.integers(min_value=-10**6, max_value=10**6)
+fracs = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+operands = st.one_of(ints, fracs)
+
+
+def _twin(a, b, n):
+    """a + b*sqrt(n) built by the same expression in the library's class
+    and in the oracle's."""
+    return a + b * QI.sqrt(n), a + b * OracleQI.sqrt(n)
+
+
+@st.composite
+def twins(draw, n):
+    """`_twin` with a and b ints or Fractions."""
+    return _twin(draw(operands), draw(operands), n)
+
+
+@st.composite
+def operand_twins(draw):
+    """(x, ox, y, oy, kind): a value x with its oracle twin ox, and a second
+    operand y with its twin oy.  y is an int, a Fraction, a value of x's
+    field (the same radicand up to 10**11, a square multiple of it, or a
+    square, so rational) or a value of another field."""
+    n = draw(radicands)
+    x, ox = draw(twins(n))
+    kind = draw(st.sampled_from(["int", "fraction", "same", "square-multiple", "square", "other"]))
+    if kind == "int" or kind == "fraction":
+        y = draw(ints if kind == "int" else fracs)
+        return x, ox, y, y, kind
+    m = {
+        "same": n,
+        "square-multiple": n * draw(st.integers(min_value=2, max_value=300)) ** 2,
+        "square": draw(st.integers(min_value=0, max_value=300)) ** 2,
+        "other": draw(radicands),
+    }[kind]
+    y, oy = draw(twins(m))
+    return x, ox, y, oy, kind
+
+
+class TestQIOracle:
+    """The integer class against the Fraction-pair class it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(operand_twins())
+    # (sqrt(2)/2)*2 = sqrt(2) and 1/2 + 1/2 = 1 need the gcd to be canonical
+    @example((*_twin(0, Fraction(1, 2), 2), 2, 2, "int"))
+    @example((*_twin(Fraction(1, 2), 0, 0), Fraction(1, 2), Fraction(1, 2), "fraction"))
+    @example((*_twin(Fraction(1, 6), Fraction(5, 6), 7), *_twin(Fraction(1, 3), Fraction(1, 6), 7),
+              "same"))
+    def test_ring_ops_match_oracle(self, case):
+        x, ox, y, oy, kind = case
+        assert_twins(x, ox)
+        assert_twins(-x, -ox)
+        for op in (operator.add, operator.sub, operator.mul):
+            if kind == "other" and x.d and y.d and x.d != y.d:
+                with pytest.raises(ValueError, match="quadratic fields"):
+                    op(x, y)
+                with pytest.raises(ValueError, match="quadratic fields"):
+                    op(ox, oy)
+                continue
+            assert_twins(op(x, y), op(ox, oy))
+            assert_twins(op(y, x), op(oy, ox))
+
+    @settings(max_examples=200, deadline=None)
+    @given(operand_twins())
+    @example((*_twin(Fraction(-31783724, 10**8), 1, 3), *_twin(0, 1, 2), "other"))
+    @example((*_twin(Fraction(665857, 470832), 0, 0), *_twin(0, 1, 2), "other"))
+    def test_order_matches_oracle(self, case):
+        x, ox, y, oy, _ = case
+        assert x.sign() == ox.sign()
+        assert x.compare(y) == ox.compare(oy)
+        ops = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+        assert [op(x, y) for op in ops] == [op(ox, oy) for op in ops]
+        assert [op(y, x) for op in ops] == [op(oy, ox) for op in ops]
+
+    @settings(max_examples=100, deadline=None)
+    @given(radicands, st.integers(min_value=1, max_value=1000))
+    @example(72, 1)
+    @example(9, 8)
+    @example(0, 5)
+    def test_sqrt_matches_oracle(self, n, m):
+        assert_twins(QI.sqrt(Fraction(n, m)), OracleQI.sqrt(Fraction(n, m)))
+        assert_twins(QI.sqrt(n), OracleQI.sqrt(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys, operand_twins())
+    @example(QuadPoly(1, -2, 3), (*_twin(Fraction(1, 3), 2, 5), 0, 0, "int"))
+    @example(QuadPoly(-2, 0, 1), (*_twin(0, 1, 2), 0, 0, "int"))
+    def test_quad_eval_matches_oracle(self, p, case):
+        x, ox, y, oy, _ = case
+        assert_twins(quad_eval(p, x), oracle_quad_eval(p, ox))
+        assert_twins(quad_eval(p, y), oracle_quad_eval(p, oy))
+
+
+@contextmanager
+def fractions_built():
+    """The list of argument tuples of every `Fraction` built inside the block.
+
+    It wraps `Fraction.__new__` as `perfbench/tracer.py` does, and also
+    `Fraction._from_coprime_ints` where it exists (Python 3.12 and later),
+    through which `Fraction` arithmetic builds its results without
+    `__new__`.
+    """
+    built = []
+    saved = {name: Fraction.__dict__[name]
+             for name in ("__new__", "_from_coprime_ints") if name in Fraction.__dict__}
+    new = saved["__new__"].__func__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted_new)
+    if "_from_coprime_ints" in saved:
+        coprime = saved["_from_coprime_ints"].__func__
+
+        def counted_coprime(cls, *args):
+            built.append(args)
+            return coprime(cls, *args)
+
+        Fraction._from_coprime_ints = classmethod(counted_coprime)
+    try:
+        yield built
+    finally:
+        for name, value in saved.items():
+            setattr(Fraction, name, value)
+
+
+class TestNoFractions:
+    """Ring operations, sign, compare and quad_eval on irrational operands
+    run in integers: they build no `Fraction`."""
+
+    def test_irrational_operands_build_no_fraction(self):
+        r = QI.sqrt(5)
+        x, y = Fraction(1, 3) + 2 * r, -5 + Fraction(7, 2) * r
+        z, h = QI.sqrt(7) - 1, Fraction(3, 4)
+        p = QuadPoly(1, Fraction(-2, 3), Fraction(5, 2))
+        with fractions_built() as built:
+            values = [x + y, x - y, -x, x * y, x + 3, 3 + x, x - 3, 3 - x, 3 * x, x * 3,
+                      x + h, h + x, x - h, h - x, h * x, x * h, quad_eval(p, x)]
+            order = [x.sign(), x.compare(y), x.compare(z), x.compare(h), x.compare(3),
+                     x < y, x <= z, x > h, x >= 3, h < x, 3 > x, x == y, x == h]
+        assert built == []
+        with fractions_built() as built:
+            Fraction(1, 3)
+            Fraction(2, 3) + Fraction(1, 5)
+        assert built  # the spy sees Fraction construction and arithmetic
+        assert [float(v) for v in values[:4]] == pytest.approx(
+            [float(x) + float(y), float(x) - float(y), -float(x), float(x) * float(y)])
+        assert order == [1, 1, 1, 1, 1, False, False, True, True, True, False, False, False]

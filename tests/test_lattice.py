@@ -96,6 +96,17 @@ class TestTwistAndDiscriminant:
         # evaluating at x recovers the twisted second character at beta = -x
         assert chd_polynomial(v).eval_rational(x) == twist(v, -x).t2
 
+    @given(classes(), betas)
+    # half-integral v2 and beta with v1 != 0: every factor of the integer forms counts
+    @example(ChernClass(2, 2, F(-1, 2)), F(-3, 2))
+    @example(ChernClass(-2, 4, F(-3, 2)), F(1, 4))
+    def test_integer_forms_match_fraction_formulas(self, v, beta):
+        assert discriminant(v) == v.v1 * v.v1 - 2 * v.v0 * v.v2
+        assert twist(v, beta) == (
+            v.v0, v.v1 - beta * v.v0, v.v2 - beta * v.v1 + beta * beta * v.v0 / 2
+        )
+        assert all(type(t) is Fraction for t in twist(v, beta))
+
     def test_examples(self):
         assert discriminant(ChernClass(2, 0, -5)) == 20
         assert discriminant(ChernClass(2, -2, 1)) == 0
