@@ -11,6 +11,7 @@ import functools
 import json
 import re
 import sys
+from fractions import Fraction
 
 # no option starts with a digit, so "-5/2", "-.5" and "-2,4,-3" are values
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
@@ -32,8 +33,9 @@ from .walls import enumerate_candidates
 
 USAGE_ERROR, CHECK_FAILURE = 2, 1
 # `chd --format csv` keeps every sample in memory: at 100,000 samples
-# ppas-ideal-5-W2 takes 0.6 s and 45 MB peak on one Xeon core (Python 3.11),
-# and the cost grows linearly, so a larger count is refused rather than left to run
+# ppas-ideal-5-W2 takes 0.3 s and 38 MB peak, process start included, on one
+# Xeon core (Python 3.11.7), and the cost grows linearly, so a larger count is
+# refused rather than left to run
 MAX_SAMPLES = 100_000
 
 
@@ -129,14 +131,15 @@ def cmd_chd(args) -> int:
     fn = assemble_chd1(tree) if args.k == 1 else assemble_chd0(tree)
     if args.format == "json":
         _emit(json.dumps(fn.to_json(), indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["x,value"]
-        xs = rational_grid(*function_range(fn), args.samples, 4096)
-        for x, y in zip(xs, fn.sample(xs)):
-            lines.append(f"{format_rational(x)},{_approx(y)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "svg":
-        _emit(render_function_svg(fn), args.out)
+    elif args.format in ("csv", "svg"):
+        try:
+            text = _samples_csv(fn, args.samples) if args.format == "csv" else render_function_svg(fn)
+        except OverflowError:
+            raise ValueError(
+                "a value beyond float range cannot be plotted or sampled in floats; "
+                "use --format table or json"
+            ) from None
+        _emit(text, args.out)
     else:
         lines = []
         bounds = ["-inf"] + [str(b) for b in fn.breakpoints] + ["+inf"]
@@ -144,6 +147,20 @@ def cmd_chd(args) -> int:
             lines.append(f"[{bounds[i]}, {bounds[i + 1]}]:  {p}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _samples_csv(fn, samples: int) -> str:
+    """x,value rows at samples + 1 points k/4096 of `rational_grid`: x exact,
+    the value the float N / M of its exact value N/M from
+    `PiecewiseQuadratic.sample`.  `int / int` is correctly rounded, so that is
+    the float of the exact value; one beyond float range raises
+    OverflowError."""
+    den = 4096
+    ks = rational_grid(*function_range(fn), samples, den)
+    lines = ["x,value"]
+    for k, (n, m) in zip(ks, fn.sample(ks, den)):
+        lines.append(f"{format_rational(Fraction(k, den))},{n / m:.6g}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_validate(args) -> int:

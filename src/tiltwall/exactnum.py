@@ -13,8 +13,10 @@ the ring operations combine operands of one field Q(sqrt(d)) in integer
 arithmetic, an `int` or `Fraction` operand taken as (A, 0, 1) or
 (numerator, 0, denominator) without building a value for it, and the
 trusted constructor `_canonical` reduces the result with one `math.gcd` and
-never factors.  No ring operation, sign, comparison or `quad_eval` builds a
-`Fraction`; only the read-only `a` and `b` do.  `squarefree_decompose`
+never factors.  No ring operation, sign, comparison, `floor_times` or
+`quad_eval` builds a `Fraction`; only the read-only `a` and `b` do.
+`floor_times(den)` is floor(x*den), the integer threshold that places grid
+points k/den against x (proof in its docstring).  `squarefree_decompose`
 trial-divides only up to the cube root of the cofactor.
 
 Order is one closed-form rule in integers, with no approximation and no
@@ -215,6 +217,29 @@ class QuadraticIrrational:
         """Exact sign of the value, in {-1, 0, 1}: that of A + B*sqrt(d), as C > 0."""
         return _sign(self._A, self._B, self._d)
 
+    def floor_times(self, den: int) -> int:
+        """floor(x*den) for a positive int den, in integers.
+
+        x*den = (A*den + B*den*sqrt(d))/C.  When B = 0 that is the rational
+        (A*den)/C, whose floor is `(A*den) // C`.  Otherwise d is squarefree
+        and not 1, so B^2*den^2*d is not a square and B*den*sqrt(d) is not an
+        integer; with r = isqrt(B^2*den^2*d), its floor s is r when B > 0 and
+        -r - 1 when B < 0.  Then A*den + B*den*sqrt(d) lies strictly between
+        the integers n = A*den + s and n + 1.  No multiple of C lies strictly
+        between two consecutive integers, so dividing by C > 0 gives
+        floor(x*den) = n // C.
+
+        For an integer k, x < k/den exactly when floor(x*den) < k, since for
+        a real y and an integer k, y < k and floor(y) < k agree.  So the
+        thresholds of breakpoints place a grid point k/den among them
+        without comparing it with any (`PiecewiseQuadratic.sample`).
+        """
+        A, B = self._A * den, self._B * den
+        if B == 0:
+            return A // self._C
+        r = math.isqrt(B * B * self._d)
+        return (A + (r if B > 0 else -r - 1)) // self._C
+
     # -- arithmetic (same-field or rational operands) ----------------------
 
     def _field(self, d: int) -> int:
@@ -337,8 +362,13 @@ class QuadraticIrrational:
 
     def __float__(self):
         """A/C + (B/C)*sqrt(d).  `int / int` is correctly rounded, as is
-        `float(Fraction)`, so A/C and B/C are the floats of a and b."""
-        return self._A / self._C + self._B / self._C * math.sqrt(self._d)
+        `float(Fraction)`, so A/C and B/C are the floats of a and b.  Like
+        them, a sum beyond float range raises OverflowError rather than give
+        an infinity."""
+        y = self._A / self._C + self._B / self._C * math.sqrt(self._d)
+        if math.isinf(y):
+            raise OverflowError("quadratic irrational too large for a float")
+        return y
 
     # -- text --------------------------------------------------------------
 

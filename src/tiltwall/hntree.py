@@ -381,19 +381,30 @@ class PiecewiseQuadratic:
         x = x if isinstance(x, QI) else QI(Fraction(x))
         return quad_eval(self.pieces[bisect_left(self.breakpoints, x)], x)
 
-    def sample(self, xs: list[Fraction]) -> list[Fraction]:
-        """Exact values at the rationals xs, in any order.
+    def sample(self, ks: list[int], den: int) -> list[tuple[int, int]]:
+        """Exact values at the grid points k/den, for integers ks in any order
+        and a positive int den, each as an unreduced pair (N, M) of ints with
+        value N/M and M > 0.
 
-        Each x takes the piece of `eval_at`, by the same `bisect_left` over the
-        same breakpoints, with a rational breakpoint compared as its Fraction
-        and an irrational one by the exact `QuadraticIrrational` comparison.
-        On its piece the value is the rational pieces[i](x), the same number
-        that `eval_at(x)` returns as a rational quadratic irrational, taken
-        from the piece's `integer_form`, which is built once per call.
+        Piece: each breakpoint b becomes the integer threshold
+        t = floor(b*den) (`QuadraticIrrational.floor_times`).  For an integer
+        k, b < k/den exactly when t < k; floor is monotone, so the thresholds
+        ascend weakly, and `bisect_left(thresholds, k)`, the number of
+        thresholds below k, is the number of breakpoints below k/den, that is
+        `bisect_left(breakpoints, k/den)`: the piece of `eval_at`, the left
+        one at a breakpoint.  Value: on that piece, with its `integer_form`
+        (A0, A1, A2, L) built once per call, the value at k/den is
+        `numerator_at(k, den)` over L*den**2.  No Fraction is built and no
+        breakpoint is compared per point; `N / M` is the correctly rounded
+        float of the value.
         """
-        keys = [b.a if b.is_rational else b for b in self.breakpoints]
-        forms = [p.integer_form() for p in self.pieces]
-        return [forms[bisect_left(keys, x)].at(x) for x in xs]
+        thresholds = [b.floor_times(den) for b in self.breakpoints]
+        forms = [(f, f.L * den * den) for f in (p.integer_form() for p in self.pieces)]
+        out = []
+        for k in ks:
+            f, m = forms[bisect_left(thresholds, k)]
+            out.append((f.numerator_at(k, den), m))
+        return out
 
     def check_continuity(self) -> bool:
         for i, b in enumerate(self.breakpoints):

@@ -1,7 +1,13 @@
 """Deterministic SVG rendering of wall diagrams and assembled functions.
 
 Exact data comes in, floats appear only at the final formatting step, and
-output is byte-stable for fixed inputs.
+output is byte-stable for fixed inputs.  Curves are sampled on the integer
+grid k/den of `rational_grid`: a function by `PiecewiseQuadratic.sample`,
+which finds each point's piece from the integer thresholds floor(b*den) of
+the breakpoints b, the walls plot's hyperbola from one integer form.  Each
+exact value is an integer quotient N/M, and its float is `N / M`, which is
+correctly rounded, as `float(Fraction)` is; no `Fraction` is built per
+point.  A value beyond float range raises OverflowError.
 """
 
 from __future__ import annotations
@@ -41,16 +47,10 @@ def function_range(fn: PiecewiseQuadratic) -> tuple[float, float]:
     return float(first) - 1.0, float(last) + 1.0
 
 
-def _grid_numerators(lo: float, hi: float, steps: int, den: int) -> list[int]:
-    """The numerators over den of `rational_grid`: each the rounding of one of
-    steps + 1 evenly spaced floats from lo to hi, times den."""
+def rational_grid(lo: float, hi: float, steps: int, den: int) -> list[int]:
+    """The numerators k of steps + 1 grid points k/den, each the rounding of one
+    of the evenly spaced floats from lo to hi, times den."""
     return [round((lo + (hi - lo) * i / steps) * den) for i in range(steps + 1)]
-
-
-def rational_grid(lo: float, hi: float, steps: int, den: int) -> list[Fraction]:
-    """steps + 1 rationals over den, each the rounding of one of the evenly spaced
-    floats from lo to hi."""
-    return [Fraction(k, den) for k in _grid_numerators(lo, hi, steps, den)]
 
 
 class _Frame:
@@ -135,7 +135,7 @@ def _hyperbola_polyline(v: ChernClass, fr: _Frame) -> str:
     den = 1024
     scale = height.L * den * den
     pts = []
-    for k in _grid_numerators(fr.x_lo, fr.x_hi, 200, den):
+    for k in rational_grid(fr.x_lo, fr.x_hi, 200, den):
         n = height.numerator_at(k, den)
         if n < 0:
             continue
@@ -154,8 +154,9 @@ def _hyperbola_polyline(v: ChernClass, fr: _Frame) -> str:
 def render_function_svg(fn: PiecewiseQuadratic) -> str:
     """Graph of a piecewise quadratic with breakpoint markers."""
     x_lo, x_hi = function_range(fn)
-    xs = rational_grid(x_lo, x_hi, 400, 1024)
-    values = [(float(x), float(y)) for x, y in zip(xs, fn.sample(xs))]
+    den = 1024
+    ks = rational_grid(x_lo, x_hi, 400, den)
+    values = [(k / den, n / m) for k, (n, m) in zip(ks, fn.sample(ks, den))]
     y_hi = max(y for _, y in values) or 1.0
     fr = _Frame(x_lo, x_hi, y_hi)
     pts = " ".join(f"{_fmt(fr.px(x))},{_fmt(fr.py(y))}" for x, y in values)

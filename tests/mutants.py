@@ -109,12 +109,12 @@ MUTANTS = [
         killed_by="tests/test_hntree.py::TestEvalAt::test_eval_at_follows_the_piece_rule",
     ),
     Mutant(
-        name="sample takes the right piece at a breakpoint",
+        name="sample takes the right piece at a threshold",
         module="hntree",
-        old="forms[bisect_left(keys, x)]",
-        new="forms[__import__('bisect').bisect_right(keys, x)]",
-        breaks="sample follows the piece rule of `eval_at`: the first i with "
-        "x <= breakpoints[i] (`PiecewiseQuadratic.sample`)",
+        old="forms[bisect_left(thresholds, k)]",
+        new="forms[__import__('bisect').bisect_right(thresholds, k)]",
+        breaks="k/den takes the piece of `eval_at`, the number of thresholds "
+        "floor(b*den) below k (proof of `PiecewiseQuadratic.sample`)",
         killed_by="tests/test_hntree.py::TestSample::test_sample_equals_eval_at",
     ),
     Mutant(
@@ -176,6 +176,15 @@ MUTANTS = [
         new="B * (A1 * C + A2 * A)",
         breaks="A2*x^2 contributes 2*A2*A*B to the sqrt(d) part (closed form of `quad_eval`)",
         killed_by=EVAL_ORACLE + "::test_quad_eval_matches_ring_ops",
+    ),
+    Mutant(
+        name="floor of b*den*sqrt(d) for b < 0 one too high",
+        module="exactnum",
+        old="else -r - 1)",
+        new="else -r)",
+        breaks="for B < 0, floor(B*den*sqrt(d)) is -isqrt(B^2*den^2*d) - 1 "
+        "(proof of `QuadraticIrrational.floor_times`)",
+        killed_by="tests/test_exactnum.py::TestFloorTimes::test_floor_times_matches_exact_search",
     ),
     Mutant(
         name="integer evaluation over L*q",

@@ -11,10 +11,24 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from tiltwall.cli import MAX_SAMPLES, build_parser, main
-from tiltwall.exactnum import QuadraticIrrational as QI, format_rational
-from tiltwall.hntree import TreeLeaf, TreeNode, assemble_chd0, assemble_chd1, tree_to_json
+from tiltwall.exactnum import QuadPoly, QuadraticIrrational as QI, format_rational
+from tiltwall.hntree import (
+    PiecewiseQuadratic,
+    TreeLeaf,
+    TreeNode,
+    assemble_chd0,
+    assemble_chd1,
+    tree_from_json,
+    tree_to_json,
+)
 from tiltwall.lattice import ChernClass, class_add
-from tiltwall.svgplot import _Frame, _hyperbola_polyline
+from tiltwall.svgplot import (
+    _Frame,
+    _hyperbola_polyline,
+    function_range,
+    rational_grid,
+    render_function_svg,
+)
 from tiltwall.walls import Semicircle, wall_between
 import tiltwall
 from tiltwall import catalog
@@ -23,6 +37,18 @@ from conftest import pointwise_csv, pointwise_function_polyline, pointwise_hyper
 TREE_SCENARIOS = [
     sid for sid in catalog.list_scenarios() if catalog.load_scenario(sid).tree is not None
 ]
+
+# tree files with irrational breakpoints, which no catalog tree has: sqrt(2)
+# for the leaf, and 2 and 4 - sqrt(2) for the one-level tree, where the child
+# of negative rank gives the root a negative coefficient
+IRRATIONAL_TREES = {
+    "leaf-2,0,-2": {"class": [2, 0, "-2"]},
+    "negative-rank-child": {
+        "class": [2, 0, "-6"],
+        "wall": {"kind": "semicircle", "center": "-5/2", "radius_sq": "1/4"},
+        "children": [{"class": [4, -8, "8"]}, {"class": [-2, 8, "-14"]}],
+    },
+}
 
 
 def run(capsys, *argv):
@@ -242,16 +268,52 @@ class TestChdCommand:
         assert out == f"x,value\n{2**53 - 2},0\n{2**53 - 1},0\n{2**53},{2**54 - 1:.6g}\n"
 
     @pytest.mark.parametrize("k", ["0", "1"])
-    @pytest.mark.parametrize("sid", TREE_SCENARIOS)
-    def test_svg_and_csv_match_pointwise_evaluation(self, capsys, sid, k):
-        tree = catalog.load_scenario(sid).tree
+    @pytest.mark.parametrize("sid", TREE_SCENARIOS + list(IRRATIONAL_TREES))
+    def test_svg_and_csv_match_pointwise_evaluation(self, tmp_path, capsys, sid, k):
+        if sid in IRRATIONAL_TREES:
+            path = tmp_path / "tree.json"
+            path.write_text(json.dumps(IRRATIONAL_TREES[sid]))
+            source, tree = ("--tree", str(path)), tree_from_json(IRRATIONAL_TREES[sid])
+        else:
+            source, tree = ("--scenario", sid), catalog.load_scenario(sid).tree
         fn = assemble_chd1(tree) if k == "1" else assemble_chd0(tree)
-        code, out, _ = run(capsys, "chd", "--scenario", sid, "--k", k, "--format", "svg")
+        code, out, _ = run(capsys, "chd", *source, "--k", k, "--format", "svg")
         assert code == 0 and pointwise_function_polyline(fn) in out.splitlines()
         for n in ("1", "7", "100"):
-            code, out, _ = run(capsys, "chd", "--scenario", sid, "--k", k,
+            code, out, _ = run(capsys, "chd", *source, "--k", k,
                                "--format", "csv", "--samples", n)
             assert code == 0 and out == pointwise_csv(fn, int(n))
+
+    def test_value_beyond_float_range_exits_2_in_plots_only(self, tmp_path, capsys):
+        # breakpoint 0, and chd0(1) = 1 + 10**400: exact in table and json only
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"class": [2, "1" + "0" * 400, "0"]}))
+        for fmt in ("svg", "csv"):
+            code, out, err = run(capsys, "chd", "--tree", str(path), "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "use --format table or json" in err
+        code, out, _ = run(capsys, "chd", "--tree", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["pieces"][1] == ["0", "1" + "0" * 400, "1"]
+        code, out, _ = run(capsys, "chd", "--tree", str(path))
+        assert code == 0 and out.endswith(f"[0, +inf]:  0 + 1{'0' * 400}*x + 1*x^2\n")
+
+    # the middle piece's value at 1/3 + sqrt(2)/10**9: 10**400, whose rational
+    # part overflows, and 15*10**307*sqrt(2), whose parts do not but their sum does
+    @pytest.mark.parametrize("middle", [
+        QuadPoly(10**400), QuadPoly(-5 * 10**316, 15 * 10**316),
+    ])
+    def test_breakpoint_dot_beyond_float_range_raises_overflow(self, middle):
+        # no grid point lies in (1/3, 1/3 + sqrt(2)/10**9]: only the dot at the
+        # second breakpoint takes the middle piece
+        fn = PiecewiseQuadratic(
+            [QI(Fraction(1, 3)), Fraction(1, 3) + QI.sqrt(2) * Fraction(1, 10**9)],
+            [QuadPoly(0), middle, QuadPoly(0)],
+        )
+        ks = rational_grid(*function_range(fn), 400, 1024)
+        assert all(n == 0 for n, _ in fn.sample(ks, 1024))
+        with pytest.raises(OverflowError):
+            render_function_svg(fn)
 
     @pytest.mark.parametrize("v", [ChernClass(2, 0, -5), ChernClass(-2, 4, -3), ChernClass(6, 4, -4)])
     @pytest.mark.parametrize("frame", [(-6.5, 3.25, 4.0), (-1.0, 1.0, 1.0), (0.3, 9.7, 0.5)])

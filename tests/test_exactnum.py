@@ -17,7 +17,8 @@ from tiltwall.exactnum import (
     quad_eval,
     squarefree_decompose,
 )
-from tiltwall.svgplot import rational_grid
+from tiltwall.hntree import PiecewiseQuadratic
+from tiltwall.svgplot import rational_grid, render_function_svg
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
@@ -232,6 +233,14 @@ class TestArithmetic:
         assert math.isclose(float(x * y), float(x) * float(y), abs_tol=1e-4)
         assert math.isclose(float(x - y), float(x) - float(y), abs_tol=1e-6)
 
+    def test_float_beyond_range_raises_overflow(self):
+        # as float(Fraction(10**400)) does; both parts of the last one are
+        # floats, but their sum, about 2.4e308, is not
+        for x in [QI(10**400), 10**400 + QI.sqrt(2), 10**308 + 10**308 * QI.sqrt(2)]:
+            with pytest.raises(OverflowError):
+                float(x)
+        assert float(10**307 + 10**307 * QI.sqrt(2)) == pytest.approx(2.414e307, rel=1e-3)
+
     def test_rational_mixing(self):
         assert parts(QI.sqrt(2) * 2) == (0, 2, 2)
         assert parts(1 + QI.sqrt(2)) == (1, 1, 2)
@@ -335,7 +344,7 @@ def grid_points(draw):
     hi = lo + draw(st.floats(min_value=0, max_value=1e3))
     steps = draw(st.integers(min_value=1, max_value=400))
     den = draw(st.sampled_from([1024, 4096]))
-    return draw(st.sampled_from(rational_grid(lo, hi, steps, den)))
+    return Fraction(draw(st.sampled_from(rational_grid(lo, hi, steps, den))), den)
 
 
 @st.composite
@@ -368,6 +377,28 @@ class TestEvalOracle:
     @example(QuadPoly(-2, 0, 1), QI.sqrt(2))
     def test_quad_eval_matches_ring_ops(self, p, x):
         assert_twins(quad_eval(p, x), ring_quad_eval(p, x))
+
+
+class TestFloorTimes:
+    """floor(x*den) in integers against the largest k with k/den <= x, found
+    by exact comparison."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(field_points(), coefficients), st.one_of(
+        st.sampled_from([1024, 4096]), st.integers(min_value=1, max_value=10**6)))
+    # a negative coefficient of the root: 1024*(1 - sqrt(2)) = -424.15...,
+    # and 1024*(-sqrt(2)) = -1448.15...
+    @example(1 - QI.sqrt(2), 1024)
+    @example(-QI.sqrt(2), 1024)
+    @example(QI.sqrt(2), 1024)
+    # rationals on and off the grid, negative ones among them
+    @example(Fraction(-3, 4), 1024)
+    @example(Fraction(-1, 3), 4096)
+    def test_floor_times_matches_exact_search(self, x, den):
+        x = x if isinstance(x, QI) else QI(x)
+        k = x.floor_times(den)
+        assert type(k) is int
+        assert QI(Fraction(k, den)) <= x < QI(Fraction(k + 1, den))
 
 
 def assert_twins(z: QI, oz: OracleQI) -> None:
@@ -540,3 +571,17 @@ class TestNoFractions:
         assert [float(v) for v in values[:4]] == pytest.approx(
             [float(x) + float(y), float(x) - float(y), -float(x), float(x) * float(y)])
         assert order == [1, 1, 1, 1, 1, False, False, True, True, True, False, False, False]
+
+    def test_grid_sampling_builds_no_fraction(self):
+        """`sample` and the function plot locate and evaluate each grid point in
+        integers: thresholds, not breakpoint comparisons, and int / int floats."""
+        fn = PiecewiseQuadratic(
+            [1 - QI.sqrt(2), QI(Fraction(1, 3)), QI.sqrt(5)],
+            [QuadPoly(0), QuadPoly(1, Fraction(-1, 3)), QuadPoly(Fraction(2, 7), 0, 5),
+             QuadPoly(-4, 1, Fraction(1, 2))],
+        )
+        with fractions_built() as built:
+            values = fn.sample(range(-4096, 4096, 7), 1024)
+            svg = render_function_svg(fn)
+        assert built == []
+        assert len(values) == 1171 and svg.count('class="breakpoint"') == 3

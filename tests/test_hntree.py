@@ -263,29 +263,30 @@ def mixed_field_functions(draw):
     return PiecewiseQuadratic(sorted(points), pieces)
 
 
-def _near(b: QI, k: int) -> Fraction:
-    """A rational within 2**-40 of the irrational b: below it if k < 0, above otherwise."""
-    r = math.isqrt(b.d << 128)  # r / 2**64 < sqrt(d) < (r + 1) / 2**64
-    lo, hi = sorted(b.a + b.b * Fraction(r + e, 2**64) for e in (0, 1))
-    return (lo if k < 0 else hi) + Fraction(k, 2**64)
+def _grid_floor(b: QI, den: int) -> int:
+    """floor(b*den) by exact comparison: the largest k with k/den <= b."""
+    k = math.floor(float(b) * den)
+    while QI(F(k + 1, den)) <= b:
+        k += 1
+    while QI(F(k, den)) > b:
+        k -= 1
+    return k
 
 
 @st.composite
-def functions_with_points(draw):
-    """A function and points in any order: random ones, every rational
-    breakpoint, and points within 2**-40 of each irrational breakpoint on
-    either side."""
+def functions_with_grid_points(draw):
+    """A function, a grid denominator den of 1024 or 4096, and numerators k
+    in any order: random ones, and floor(b*den) - 1, floor(b*den) and
+    floor(b*den) + 1 for each breakpoint b."""
     fn = draw(st.one_of(st.sampled_from(CATALOG_FUNCTIONS), mixed_field_functions()))
+    den = draw(st.sampled_from([1024, 4096]))
     ends = [float(b) for b in fn.breakpoints] or [0.0]
     lo, hi = math.floor(min(ends)) - 2, math.ceil(max(ends)) + 2
-    xs = draw(st.lists(st.fractions(lo, hi, max_denominator=4096), max_size=30))
+    ks = draw(st.lists(st.integers(lo * den, hi * den), max_size=30))
     for b in fn.breakpoints:
-        if b.is_rational:
-            xs.append(b.a)
-        else:
-            offsets = st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=4)
-            xs += [_near(b, k) for k in draw(offsets)]
-    return fn, draw(st.permutations(xs))
+        t = _grid_floor(b, den)
+        ks += [t - 1, t, t + 1]
+    return fn, draw(st.permutations(ks)), den
 
 
 def _piece_index(fn: PiecewiseQuadratic, x: QI) -> int:
@@ -309,18 +310,25 @@ class TestEvalAt:
 
 class TestSample:
     @settings(max_examples=150, deadline=None)
-    @given(functions_with_points())
-    # discontinuous at the rational breakpoint 1, so only the left piece gives 0 there
-    @example((PiecewiseQuadratic([QI(1)], [QuadPoly(0), QuadPoly(1)]), [F(1)]))
-    # points in no order, repeats and breakpoints among them; and no points
-    @example((assemble_chd0(n4_tree()), [F(3), F(1, 2), F(2), F(7, 2), F(2), F(1), F(-1)]))
-    @example((assemble_chd0(n4_tree()), []))
+    @given(functions_with_grid_points())
+    # discontinuous at the rational breakpoint 1 = 1024/1024, a grid point, so
+    # only the left piece gives 0 there
+    @example((PiecewiseQuadratic([QI(1)], [QuadPoly(0), QuadPoly(1)]), [1024], 1024))
+    # the irrational breakpoint 1 - sqrt(2), whose root has a negative
+    # coefficient: floor(1024*(1 - sqrt(2))) = -425, so -425/1024 takes the
+    # left piece and -424/1024 the right one
+    @example((PiecewiseQuadratic([1 - QI.sqrt(2)], [QuadPoly(0), QuadPoly(1)]),
+              [-426, -425, -424], 1024))
+    # points in no order, repeats and breakpoints among them, over den 2; and no points
+    @example((assemble_chd0(n4_tree()), [6, 1, 4, 7, 4, 2, -2], 2))
+    @example((assemble_chd0(n4_tree()), [], 1024))
     def test_sample_equals_eval_at(self, case):
-        fn, xs = case
-        values = fn.sample(xs)
-        assert len(values) == len(xs)
-        for x, y in zip(xs, values):
-            assert type(y) is Fraction and QI(y) == fn.eval_at(x), x
+        fn, ks, den = case
+        values = fn.sample(ks, den)
+        assert len(values) == len(ks)
+        for k, (n, m) in zip(ks, values):
+            assert type(n) is int and type(m) is int and m > 0
+            assert QI(F(n, m)) == fn.eval_at(F(k, den)), k
 
 
 class TestAssembly:
