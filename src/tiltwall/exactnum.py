@@ -1,10 +1,13 @@
 """Exact arithmetic substrate: rationals, quadratic irrationals, quadratic polynomials.
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced).
+`parse_rational` refuses a decimal exponent beyond the interpreter's
+int-digit limit before `Fraction` expands it.
 A quadratic irrational is held as four integers: the value (A + B*sqrt(d))/C
 with C > 0, gcd(A, B, C) = 1, and d squarefree and not 1 or d = 0, where
 B == 0 iff d == 0.  That form is unique, so equality is structural.  All
-comparisons are exact; no floating point is used anywhere in this module.
+comparisons are exact; no floating point is used anywhere in this module
+but the `int / int` that `float` returns.
 
 Every irrational is born in `QuadraticIrrational.sqrt`, the only place that
 factors a radicand; the constructor `QuadraticIrrational(a)` only embeds a
@@ -13,11 +16,22 @@ the ring operations combine operands of one field Q(sqrt(d)) in integer
 arithmetic, an `int` or `Fraction` operand taken as (A, 0, 1) or
 (numerator, 0, denominator) without building a value for it, and the
 trusted constructor `_canonical` reduces the result with one `math.gcd` and
-never factors.  No ring operation, sign, comparison, `floor_times` or
-`quad_eval` builds a `Fraction`; only the read-only `a` and `b` do.
+never factors.  No ring operation, sign, comparison, `floor_times`, `float`
+or `quad_eval` builds a `Fraction`; only the read-only `a` and `b` do.
 `floor_times(den)` is floor(x*den), the integer threshold that places grid
-points k/den against x (proof in its docstring).  `squarefree_decompose`
-trial-divides only up to the cube root of the cofactor.
+points k/den against x (proof in its docstring), and `float` is the
+correctly rounded float of the midpoint of one such bracket.
+`squarefree_decompose` trial-divides only up to the cube root of the
+cofactor.
+
+A quadratic polynomial `QuadPoly` is held the same way, as four integers:
+(A0 + A1*x + A2*x**2)/L with L > 0 and gcd(A0, A1, A2, L) = 1, the unique
+form (proof in `_poly`), so equality is structural and c0, c1 and c2 are
+read-only `Fraction` properties.  Its ring operations build through the
+trusted constructor `_poly`, which reduces with one `math.gcd`.  Only this
+module reads the integers: `quad_eval` in its closed form, `grid_value` as
+the unreduced pair (N, L*den**2) at a grid point k/den, and
+`nonnegative_on` for the signs of the coefficients.
 
 Order is one closed-form rule in integers, with no approximation and no
 loop: `_sign(A, B, D)` is the sign of A + B*sqrt(D), the common sign of A
@@ -32,9 +46,10 @@ never 0, and at most one more call (proofs in the docstrings of `_sign` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -74,6 +89,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
+# the exponent of a decimal, as `Fraction` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
+
 def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -81,9 +100,21 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p", "p/q" or a decimal; malformed text raises ValueError."""
+    """Parse "p", "p/q" or a decimal; malformed text raises ValueError.
+
+    `Fraction` expands a decimal exponent into 10**|exponent|, in time that
+    grows with it: "1e10000000" alone takes seconds.  So an exponent above
+    the interpreter's int-digit limit (`sys.get_int_max_str_digits()`, 0 for
+    none) is refused first.  Its power has more digits than that limit lets
+    a literal have, and a literal beyond it is refused already.
+    """
+    text = text.strip()
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and abs(int(exponent.group(1))) > limit:
+        raise ValueError(f"decimal exponent beyond the int-digit limit {limit} in {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}") from None
 
@@ -361,14 +392,37 @@ class QuadraticIrrational:
         return hash((self._A, self._B, self._C, self._d))
 
     def __float__(self):
-        """A/C + (B/C)*sqrt(d).  `int / int` is correctly rounded, as is
-        `float(Fraction)`, so A/C and B/C are the floats of a and b.  Like
-        them, a sum beyond float range raises OverflowError rather than give
-        an infinity."""
-        y = self._A / self._C + self._B / self._C * math.sqrt(self._d)
-        if math.isinf(y):
-            raise OverflowError("quadratic irrational too large for a float")
-        return y
+        """The correctly rounded float of the value; OverflowError when that
+        is beyond float range, as `int / int` and `float(Fraction)` raise.
+
+        A rational is A / C, an `int / int`, which is correctly rounded.  For
+        an irrational x = (A + B*sqrt(d))/C, take an e >= 0 and
+        n = floor(x*2^e) with |n| >= 2^54; then x lies strictly between n/2^e
+        and (n + 1)/2^e, as x*2^e is irrational, and so does the midpoint
+        (2n + 1)/2^(e+1).  Where |y| >= 2^(53-e), consecutive floats are at
+        least 2^(1-e) apart, so every rounding boundary there (the midpoint
+        of two consecutive floats, or of the largest float and the overflow
+        threshold) is an integer multiple of 2^-e, and none lies strictly
+        between n/2^e and (n + 1)/2^e.  So x and the midpoint round to the
+        same float, and `int / int` rounds the midpoint correctly.
+
+        Choice of e.  A^2 - B^2*d is a nonzero integer, as d is not a square,
+        so |A + B*sqrt(d)| = |A^2 - B^2*d| / |A - B*sqrt(d)| >= 1/S with
+        S = |A| + |B|*d, and |x| >= 1/(C*S).  So e0 = 55 + bits(C) + bits(S)
+        gives |x*2^e0| > 2^55 and |n0| >= 2^55 for n0 = `floor_times(2^e0)`.
+        Shifting n0 right by s = min(bits(|n0|) - 56, e0) is floor division
+        by 2^s, so it gives n = floor(x*2^e) for e = e0 - s >= 0, and
+        |n| >= 2^55 still; n then has 56 bits unless e reached 0, so the
+        division stays small however large C and S are.
+        """
+        A, B, C = self._A, self._B, self._C
+        if not B:
+            return A / C
+        e = 55 + C.bit_length() + (abs(A) + abs(B) * self._d).bit_length()
+        n = self.floor_times(1 << e)
+        s = min(abs(n).bit_length() - 56, e)
+        n, e = n >> s, e - s
+        return (2 * n + 1) / 2 ** (e + 1)
 
     # -- text --------------------------------------------------------------
 
@@ -385,78 +439,133 @@ class QuadraticIrrational:
         return f"{rational} + {self.b!r} * QuadraticIrrational.sqrt({self._d})"
 
 
-class IntegerForm(NamedTuple):
-    """A quadratic polynomial (A0 + A1*x + A2*x**2)/L in integers, L > 0."""
+def _poly(A0: int, A1: int, A2: int, L: int) -> "QuadPoly":
+    """Trusted constructor: the polynomial (A0 + A1*x + A2*x**2)/L.
 
-    A0: int
-    A1: int
-    A2: int
-    L: int
+    The caller guarantees ints with L > 0; one gcd divides out the common
+    factor of A0, A1, A2 and L.  The stored form is then the unique one.
+    Say (A0, A1, A2, L) and (B0, B1, B2, M) both have gcd 1, L, M > 0 and
+    the same coefficients Ai/L = Bi/M.  Write L = g*l and M = g*m with
+    g = gcd(L, M), so gcd(l, m) = 1.  Then Ai*m = Bi*l, so l divides every
+    Ai; l also divides L, so l divides gcd(A0, A1, A2, L) = 1.  Likewise
+    m = 1, so L = M and Ai = Bi.  Two polynomials are therefore equal exactly
+    when their four integers are, and `__eq__` and `__hash__` compare them as
+    stored.  Callers: `+`, `neg`, `reflect` and `derivative`, whose L is a
+    product of positive denominators.
+    """
+    g = math.gcd(A0, A1, A2, L)
+    if g != 1:
+        A0 //= g
+        A1 //= g
+        A2 //= g
+        L //= g
+    self = object.__new__(QuadPoly)
+    self._A0, self._A1, self._A2, self._L = A0, A1, A2, L
+    return self
 
-    def numerator_at(self, k: int, q: int) -> int:
-        """The integer p(k/q)*L*q**2 = (A0*q + A1*k)*q + A2*k**2."""
-        return (self.A0 * q + self.A1 * k) * q + self.A2 * k * k
 
-    def at(self, x: RationalLike) -> Fraction:
-        """Exact value at the rational x = k/q, built as one Fraction.
-
-        p(k/q) = (A0*q**2 + A1*k*q + A2*k**2) / (L*q**2)
-               = ((A0*q + A1*k)*q + A2*k**2) / (L*q**2),
-        a quotient of integers, so the one `Fraction` that reduces it is exact.
-        """
-        q = x.denominator
-        return Fraction(self.numerator_at(x.numerator, q), self.L * q * q)
-
-
-@dataclass(frozen=True)
 class QuadPoly:
-    """Polynomial c0 + c1*x + c2*x**2 with rational coefficients."""
+    """Polynomial c0 + c1*x + c2*x**2 with rational coefficients.
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
+    Held as four integers, the polynomial (A0 + A1*x + A2*x**2)/L with L > 0
+    and gcd(A0, A1, A2, L) = 1.  That form is unique (proof in `_poly`), so
+    equality is structural.  Instances are immutable: the coefficients `c0`,
+    `c1` and `c2` are read-only `Fraction` properties, and the integers are
+    written only by the constructors.  `QuadPoly(c0, c1, c2)` takes L as the
+    lcm of the coefficients' reduced denominators and Ai = ci*L.  That is
+    already the unique form: a prime power p^e exactly dividing L exactly
+    divides the denominator of some ci, so p divides L but not that
+    Ai = numerator(ci)*(L/denominator(ci)).
+    """
+
+    __slots__ = ("_A0", "_A1", "_A2", "_L")
 
     def __init__(self, c0: RationalLike, c1: RationalLike = 0, c2: RationalLike = 0):
-        # a Fraction is immutable, so one is kept as given rather than copied
-        object.__setattr__(self, "c0", c0 if type(c0) is Fraction else Fraction(c0))
-        object.__setattr__(self, "c1", c1 if type(c1) is Fraction else Fraction(c1))
-        object.__setattr__(self, "c2", c2 if type(c2) is Fraction else Fraction(c2))
+        c0, c1, c2 = (c if isinstance(c, (int, Fraction)) else Fraction(c) for c in (c0, c1, c2))
+        q0, q1, q2 = c0.denominator, c1.denominator, c2.denominator
+        L = math.lcm(q0, q1, q2)
+        self._A0, self._A1, self._A2, self._L = (
+            c0.numerator * (L // q0), c1.numerator * (L // q1), c2.numerator * (L // q2), L
+        )
 
     @property
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
+    def c0(self) -> Fraction:
+        """The constant coefficient A0/L."""
+        return Fraction(self._A0, self._L)
+
+    @property
+    def c1(self) -> Fraction:
+        """The coefficient A1/L of x."""
+        return Fraction(self._A1, self._L)
+
+    @property
+    def c2(self) -> Fraction:
+        """The coefficient A2/L of x**2."""
+        return Fraction(self._A2, self._L)
 
     def __add__(self, other: "QuadPoly") -> "QuadPoly":
-        return QuadPoly(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
-
-    def __sub__(self, other: "QuadPoly") -> "QuadPoly":
-        return QuadPoly(self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2)
+        L, M = self._L, other._L
+        return _poly(self._A0 * M + other._A0 * L, self._A1 * M + other._A1 * L,
+                     self._A2 * M + other._A2 * L, L * M)
 
     def __neg__(self) -> "QuadPoly":
-        return QuadPoly(-self.c0, -self.c1, -self.c2)
+        return _poly(-self._A0, -self._A1, -self._A2, self._L)
+
+    def __sub__(self, other: "QuadPoly") -> "QuadPoly":
+        return self + -other
 
     def reflect(self) -> "QuadPoly":
         """The polynomial x -> p(-x)."""
-        return QuadPoly(self.c0, -self.c1, self.c2)
+        return _poly(self._A0, -self._A1, self._A2, self._L)
 
     def derivative(self) -> "QuadPoly":
-        return QuadPoly(self.c1, 2 * self.c2, 0)
+        return _poly(self._A1, 2 * self._A2, 0, self._L)
 
-    def integer_form(self) -> IntegerForm:
-        """The coefficients over one denominator: A_i = c_i*L, with L > 0 the
-        lcm of the coefficient denominators, so p = (A0 + A1*x + A2*x**2)/L."""
-        c0, c1, c2 = self.c0, self.c1, self.c2
-        L = math.lcm(c0.denominator, c1.denominator, c2.denominator)
-        return IntegerForm(
-            c0.numerator * (L // c0.denominator),
-            c1.numerator * (L // c1.denominator),
-            c2.numerator * (L // c2.denominator),
-            L,
-        )
+    def grid_value(self, k: int, den: int) -> tuple[int, int]:
+        """The value at k/den, for a positive int den, as the unreduced pair
+        (N, M) of ints with value N/M and M > 0:
+        p(k/den) = (A0*den**2 + A1*k*den + A2*k**2) / (L*den**2), so
+        N = (A0*den + A1*k)*den + A2*k**2 and M = L*den**2.  No Fraction is
+        built, and `N / M` is the correctly rounded float of the value."""
+        return (self._A0 * den + self._A1 * k) * den + self._A2 * k * k, self._L * den * den
 
-    def eval_rational(self, x: RationalLike) -> Fraction:
-        """Exact value at the rational x (`IntegerForm.at`)."""
-        return self.integer_form().at(x)
+    def nonnegative_on(self, lo: Optional[QuadraticIrrational],
+                       hi: Optional[QuadraticIrrational]) -> bool:
+        """Whether p >= 0 on the interval [lo, hi], an end None being unbounded.
+
+        ci has the sign of Ai, as L > 0.  As x -> +infinity, p(x) has the sign
+        of its leading coefficient, the first nonzero of A2, A1, A0 (the
+        value of `A2 or A1 or A0`); as x -> -infinity, that of p(-x), the
+        first nonzero of A2, -A1, A0.  Those two tests settle the unbounded
+        ends, and `quad_eval` the bounded ones.  In between, a concave or
+        linear p (A2 <= 0) takes no value below both ends, nor below its
+        limit at an unbounded end.  A convex p (A2 > 0) does so only at its
+        vertex -A1/(2*A2) when that lies strictly inside; otherwise p is
+        monotone on the interval and its least value is at a bounded end.
+        The zero polynomial passes every test.
+        """
+        A0, A1, A2 = self._A0, self._A1, self._A2
+        if (hi is None and (A2 or A1 or A0) < 0) or (lo is None and (A2 or -A1 or A0) < 0):
+            return False
+        if any(end is not None and quad_eval(self, end).sign() < 0 for end in (lo, hi)):
+            return False
+        if A2 > 0:
+            vertex = _canonical(-A1, 0, 2 * A2, 0)
+            if (lo is None or lo < vertex) and (hi is None or vertex < hi):
+                return quad_eval(self, vertex).sign() >= 0
+        return True
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadPoly):
+            return NotImplemented
+        return (self._A0, self._A1, self._A2, self._L) == (
+            other._A0, other._A1, other._A2, other._L)
+
+    def __hash__(self):
+        return hash((self._A0, self._A1, self._A2, self._L))
+
+    def __repr__(self):
+        return f"QuadPoly({self.c0!r}, {self.c1!r}, {self.c2!r})"
 
     def __str__(self):
         return (
@@ -468,7 +577,7 @@ class QuadPoly:
 def quad_eval(p: QuadPoly, x) -> QuadraticIrrational:
     """Exact value p(x); the result stays in the field Q(sqrt(d)) of x.
 
-    With p = (A0 + A1*x + A2*x**2)/L (`QuadPoly.integer_form`) and
+    With p = (A0 + A1*x + A2*x**2)/L (the integers of `QuadPoly`) and
     x = (A + B*sqrt(d))/C, expanding with sqrt(d)**2 = d gives the closed form
     p(x) = (N0 + N1*sqrt(d)) / (L*C**2) with the integers
     N0 = (A0*C + A1*A)*C + A2*(A**2 + B**2*d)  and  N1 = B*(A1*C + 2*A2*A):
@@ -481,7 +590,7 @@ def quad_eval(p: QuadPoly, x) -> QuadraticIrrational:
     if o is None:
         raise TypeError("quad_eval expects a QuadraticIrrational or rational")
     A, B, C, d = o
-    A0, A1, A2, L = p.integer_form()
+    A0, A1, A2, L = p._A0, p._A1, p._A2, p._L
     return _canonical(
         (A0 * C + A1 * A) * C + A2 * (A * A + B * B * d),
         B * (A1 * C + 2 * A2 * A),

@@ -392,19 +392,13 @@ class PiecewiseQuadratic:
         ascend weakly, and `bisect_left(thresholds, k)`, the number of
         thresholds below k, is the number of breakpoints below k/den, that is
         `bisect_left(breakpoints, k/den)`: the piece of `eval_at`, the left
-        one at a breakpoint.  Value: on that piece, with its `integer_form`
-        (A0, A1, A2, L) built once per call, the value at k/den is
-        `numerator_at(k, den)` over L*den**2.  No Fraction is built and no
-        breakpoint is compared per point; `N / M` is the correctly rounded
-        float of the value.
+        one at a breakpoint.  Value: that piece's `QuadPoly.grid_value`.  No
+        Fraction is built and no breakpoint is compared per point; `N / M` is
+        the correctly rounded float of the value.
         """
         thresholds = [b.floor_times(den) for b in self.breakpoints]
-        forms = [(f, f.L * den * den) for f in (p.integer_form() for p in self.pieces)]
-        out = []
-        for k in ks:
-            f, m = forms[bisect_left(thresholds, k)]
-            out.append((f.numerator_at(k, den), m))
-        return out
+        pieces = self.pieces
+        return [pieces[bisect_left(thresholds, k)].grid_value(k, den) for k in ks]
 
     def check_continuity(self) -> bool:
         for i, b in enumerate(self.breakpoints):
@@ -413,11 +407,12 @@ class PiecewiseQuadratic:
         return True
 
     def check_nonnegative(self) -> bool:
-        """Exact nonnegativity on the (restricted) domain, by vertex analysis."""
+        """Exact nonnegativity on the (restricted) domain, piece by piece
+        (`QuadPoly.nonnegative_on`)."""
         for i, p in enumerate(self.pieces):
             lo = self.breakpoints[i - 1] if i > 0 else self.domain_start
             hi = self.breakpoints[i] if i < len(self.breakpoints) else None
-            if not _quad_nonneg_on(p, lo, hi):
+            if not p.nonnegative_on(lo, hi):
                 return False
         return True
 
@@ -445,29 +440,6 @@ class PiecewiseQuadratic:
         if self.domain_start is not None:
             data["domain_start"] = str(self.domain_start)
         return data
-
-
-def _quad_nonneg_on(p: QuadPoly, lo: Optional[QI], hi: Optional[QI]) -> bool:
-    if p.is_zero:
-        return True
-    if lo is not None and quad_eval(p, lo).sign() < 0:
-        return False
-    if hi is not None and quad_eval(p, hi).sign() < 0:
-        return False
-    if p.c2 > 0:
-        vertex = QI(-p.c1 / (2 * p.c2))
-        if (lo is None or lo < vertex) and (hi is None or vertex < hi):
-            if quad_eval(p, vertex).sign() < 0:
-                return False
-        return True
-    if p.c2 < 0:
-        return lo is not None and hi is not None  # endpoints already checked
-    # linear
-    if p.c1 > 0:
-        return lo is not None
-    if p.c1 < 0:
-        return hi is not None
-    return p.c0 >= 0
 
 
 def assemble_chd0(tree: HNTree) -> PiecewiseQuadratic:

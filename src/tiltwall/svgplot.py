@@ -129,17 +129,16 @@ def _hyperbola_polyline(v: ChernClass, fr: _Frame) -> str:
             return "<!-- no hyperbola -->"
         return _vline(fr, "hyperbola", float(Fraction(v.v2, v.v1)), "green", "4 3")
     # the zero-slope locus is a = twist(v, beta).t2 / v0, one rational quadratic,
-    # evaluated at beta = k/1024 as the integer quotient a = N/(L*1024**2);
+    # evaluated at beta = k/1024 as the integer quotient a = n/m (`grid_value`);
     # int / int is correctly rounded, so it is the float of the exact a
-    height = QuadPoly(v.v2 / v.v0, -Fraction(v.v1, v.v0), Fraction(1, 2)).integer_form()
+    height = QuadPoly(v.v2 / v.v0, -Fraction(v.v1, v.v0), Fraction(1, 2))
     den = 1024
-    scale = height.L * den * den
     pts = []
     for k in rational_grid(fr.x_lo, fr.x_hi, 200, den):
-        n = height.numerator_at(k, den)
+        n, m = height.grid_value(k, den)
         if n < 0:
             continue
-        alpha = math.sqrt(2 * (n / scale))
+        alpha = math.sqrt(2 * (n / m))
         if alpha > fr.y_hi:
             continue
         pts.append(f"{_fmt(fr.px(k / den))},{_fmt(fr.py(alpha))}")

@@ -15,8 +15,17 @@ from fractions import Fraction
 from eval_oracle import horner_eval_rational
 from tiltwall import ChernClass, Semicircle, SurfaceConfig, VerticalWall, chd_polynomial, twist
 from tiltwall.exactnum import format_rational
-from tiltwall.hntree import TreeNode, hn_factors_at, tree_from_json, tree_to_json
+from tiltwall.hntree import (
+    TreeLeaf,
+    TreeNode,
+    hn_factors_at,
+    tree_from_json,
+    tree_to_json,
+    validate_tree,
+)
+from tiltwall.lattice import class_sub, discriminant, mu_slope
 from tiltwall.svgplot import _Frame, _fmt, function_range
+from tiltwall.walls import Nesting, enumerate_candidates, nesting
 
 PPAS = SurfaceConfig.preset("ppas")
 
@@ -228,3 +237,49 @@ def slope_crossing_oracle(v: ChernClass, w: ChernClass, wall, grid_step) -> bool
             prev_slope, prev_side = s, side
             beta += grid_step
     return True
+
+
+def _split(rng, v, cfg, beta, parent_wall, depth):
+    """v as a leaf, or split along one of its walls through beta, strictly
+    nested in parent_wall, into a witness and its complement in random order;
+    each child splits again at the centre of that wall, where both are in the
+    heart."""
+    if depth == 0 or rng.random() < 0.25:
+        return TreeLeaf(v)
+    cands = enumerate_candidates(v, beta, Fraction(1, 20), None, cfg)
+    if parent_wall is not None:
+        cands = [
+            c for c in cands
+            if nesting(c.wall, parent_wall).relation is Nesting.NESTED
+            and c.wall.radius_sq < parent_wall.radius_sq
+        ]
+    if not cands:
+        return TreeLeaf(v)
+    c = rng.choice(cands)
+    w = rng.choice(c.witnesses)
+    pair = [w, class_sub(v, w)]
+    rng.shuffle(pair)
+    children = [_split(rng, u, cfg, c.wall.center, c.wall, depth - 1) for u in pair]
+    return TreeNode(v, c.wall, children)
+
+
+def enumerated_trees(seed: int, count: int) -> list[tuple[str, TreeNode]]:
+    """count trees of depth <= 2 that validate_tree accepts, split along the
+    walls and witnesses of enumerate_candidates, on both presets."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        cfg = SurfaceConfig.preset(rng.choice(["ppas", "abelian-(1,2)"]))
+        den = cfg.v2_denominator
+        v = ChernClass(
+            cfg.v0_step * rng.randint(1, 2),
+            cfg.v1_step * rng.randint(-2, 2),
+            Fraction(rng.randint(-6 * den, 0), den),
+        )
+        if discriminant(v) <= 0:
+            continue
+        beta = mu_slope(v) - Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        tree = _split(rng, v, cfg, beta, None, 2)
+        if isinstance(tree, TreeNode) and validate_tree(tree):
+            out.append((cfg.name, tree))
+    return out

@@ -40,6 +40,7 @@ INTEGER_WINDOW = "tests/test_walls.py::TestIntegerWindow::test_fixed_queries_kee
 ONE_VIOLATION = "tests/test_cli.py::TestValidateCommand::test_one_violation_exits_1_everywhere"
 EVAL_ORACLE = "tests/test_exactnum.py::TestEvalOracle"
 QI_ORACLE = "tests/test_exactnum.py::TestQIOracle"
+POLY_FORM = "tests/test_exactnum.py::TestQuadPoly::test_stored_form_is_canonical"
 LATTICE_FORMS = (
     "tests/test_lattice.py::TestTwistAndDiscriminant::test_integer_forms_match_fraction_formulas"
 )
@@ -111,11 +112,20 @@ MUTANTS = [
     Mutant(
         name="sample takes the right piece at a threshold",
         module="hntree",
-        old="forms[bisect_left(thresholds, k)]",
-        new="forms[__import__('bisect').bisect_right(thresholds, k)]",
+        old="pieces[bisect_left(thresholds, k)]",
+        new="pieces[__import__('bisect').bisect_right(thresholds, k)]",
         breaks="k/den takes the piece of `eval_at`, the number of thresholds "
         "floor(b*den) below k (proof of `PiecewiseQuadratic.sample`)",
         killed_by="tests/test_hntree.py::TestSample::test_sample_equals_eval_at",
+    ),
+    Mutant(
+        name="chd0 group without its last leaf",
+        module="hntree",
+        old="for leaf in leaves:",
+        new="for leaf in leaves[:-1] or leaves:",
+        breaks="the piece after a breakpoint adds chd(G) of every leaf switched on "
+        "there (`ValidationReport.chd0`; chd0 by the paper's definition)",
+        killed_by="tests/test_definition.py::test_assembly_matches_the_definition",
     ),
     Mutant(
         name="jump term with v0*x subtracted",
@@ -189,10 +199,39 @@ MUTANTS = [
     Mutant(
         name="integer evaluation over L*q",
         module="exactnum",
-        old="L * q * q)",
-        new="L * q)",
-        breaks="p(k/q) = ((A0*q + A1*k)*q + A2*k^2) / (L*q^2) (closed form of `eval_rational`)",
-        killed_by=EVAL_ORACLE + "::test_eval_rational_matches_horner",
+        old="self._L * den * den",
+        new="self._L * den",
+        breaks="p(k/den) = ((A0*den + A1*k)*den + A2*k^2) / (L*den^2) "
+        "(closed form of `QuadPoly.grid_value`)",
+        killed_by=EVAL_ORACLE + "::test_grid_value_matches_horner",
+    ),
+    Mutant(
+        name="polynomial without gcd normalisation",
+        module="exactnum",
+        old="g = math.gcd(A0, A1, A2, L)",
+        new="g = 1",
+        breaks="the stored (A0, A1, A2, L) has gcd 1, so equality and hash are "
+        "structural (uniqueness proof of `_poly`)",
+        killed_by=POLY_FORM,
+    ),
+    Mutant(
+        name="lcm replaced by product",
+        module="exactnum",
+        old="L = math.lcm(q0, q1, q2)",
+        new="L = q0 * q1 * q2",
+        breaks="the lcm of the reduced denominators gives gcd(A0, A1, A2, L) = 1 "
+        "(proof in the docstring of `QuadPoly`)",
+        killed_by=POLY_FORM,
+    ),
+    Mutant(
+        name="float of the bracket's lower end",
+        module="exactnum",
+        old="return (2 * n + 1) / 2 ** (e + 1)",
+        new="return n / 2 ** e",
+        breaks="x rounds like the midpoint (2n + 1)/2^(e+1), which is no rounding "
+        "boundary, not like n/2^e, which may be one (proof of "
+        "`QuadraticIrrational.__float__`)",
+        killed_by="tests/test_exactnum.py::TestFloat::test_float_is_correctly_rounded",
     ),
     Mutant(
         name="quadratic irrational without gcd normalisation",

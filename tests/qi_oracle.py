@@ -262,8 +262,8 @@ def quad_eval(p, x) -> QuadraticIrrational:
     For x = a + b*sqrt(d), expanding c0 + c1*x + c2*x**2 with
     sqrt(d)**2 = d gives the closed form
     p(x) = (p(a) + c2*b**2*d) + b*(c1 + 2*c2*a)*sqrt(d).
-    Both parts are rational: p(a) is `eval_rational(a)`, the rest is
-    `Fraction` arithmetic, so the value is exact.  d is the canonical
+    Both parts are rational: p(a) is c0 + a*(c1 + c2*a), and the rest is
+    `Fraction` arithmetic too, so the value is exact.  d is the canonical
     radicand of x, so the trusted `QuadraticIrrational._canonical` builds
     the result and collapses it to a rational when its b is 0.
     """
@@ -272,7 +272,7 @@ def quad_eval(p, x) -> QuadraticIrrational:
         raise TypeError("quad_eval expects a QuadraticIrrational or rational")
     a, b, d = x.a, x.b, x.d
     return QuadraticIrrational._canonical(
-        p.eval_rational(a) + p.c2 * b * b * d, b * (p.c1 + 2 * p.c2 * a), d
+        p.c0 + a * (p.c1 + p.c2 * a) + p.c2 * b * b * d, b * (p.c1 + 2 * p.c2 * a), d
     )
 
 

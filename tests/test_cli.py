@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -267,6 +268,24 @@ class TestChdCommand:
         assert code == 0
         assert out == f"x,value\n{2**53 - 2},0\n{2**53 - 1},0\n{2**53},{2**54 - 1:.6g}\n"
 
+    def test_cancelling_breakpoint_is_plotted_at_its_value(self, tmp_path, capsys):
+        # the leaf's breakpoint -34761632124320657 + 24580185800219268*sqrt(2)
+        # is about -1.4e-17, whose parts cancel in floats; the window is
+        # [-1, 1] around it, the function 0 left of it and 1 + v1*x + x^2 right
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"class": [2, 69523264248641314, "1"]}))
+        code, out, _ = run(capsys, "chd", "--tree", str(path), "--format", "csv", "--samples", "4")
+        assert (code, out) == (
+            0, "x,value\n-1,0\n-1/2,0\n0,1\n1/2,3.47616e+16\n1,6.95233e+16\n"
+        )
+        code, out, _ = run(capsys, "chd", "--tree", str(path), "--format", "svg")
+        assert code == 0
+        assert '<polyline class="function" points="40.000,360.000 ' in out
+        assert '<circle class="breakpoint" cx="400.000" cy="360.000" r="3" fill="red"/>' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5400a94d25d97c9c21356b956a4aadee3c6ad987a48061d200b7bb90e9e5920a"
+        )
+
     @pytest.mark.parametrize("k", ["0", "1"])
     @pytest.mark.parametrize("sid", TREE_SCENARIOS + list(IRRATIONAL_TREES))
     def test_svg_and_csv_match_pointwise_evaluation(self, tmp_path, capsys, sid, k):
@@ -467,6 +486,29 @@ class TestValidateCommand:
         )
         for argv in (["validate"], ["chd"], ["hn", "--a", "1/100", "--beta", "-1"]):
             assert run(capsys, *argv, "--tree", str(path)) == (2, "", err), argv
+
+
+class TestDecimalExponent:
+    """A decimal exponent beyond the int-digit limit exits 2 before `Fraction`
+    expands it; "1e10000000" alone took seconds to expand."""
+
+    @pytest.mark.parametrize("argv", [
+        ("walls", "--class", "2,0,-5", "--beta=-1e10000000", "--amin", "1/100"),
+        ("hn", "--scenario", "ppas-ideal-2", "--a", "1/100", "--beta=-1e1000000"),
+    ], ids=["walls", "hn"])
+    def test_argv_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: decimal exponent beyond the int-digit limit")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["validate", "chd"])
+    def test_tree_json_v2_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"class": [2, 0, "-1e10000000"]}))
+        code, out, err = run(capsys, command, "--tree", str(path))
+        assert (code, out) == (2, "")
+        assert "decimal exponent beyond the int-digit limit" in err and err.count("\n") == 1
 
 
 class TestHnCommand:

@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from tiltwall import exactnum
 from tiltwall.exactnum import (
     QuadPoly,
     QuadraticIrrational as QI,
+    parse_rational,
     quad_eval,
     squarefree_decompose,
 )
@@ -35,6 +37,23 @@ def assert_canonical(z: QI) -> None:
     assert all(type(n) is int for n in (z._A, z._B, z._C, z._d))
     assert z._C > 0 and math.gcd(z._A, z._B, z._C) == 1
     assert (z._B == 0) is (z.d == 0) and z.d != 1
+
+
+def assert_correctly_rounded(x: QI) -> None:
+    """float(x) is the float nearest x.  A rational, which may be a tie, has
+    the float of its Fraction.  An irrational lies strictly between the
+    midpoints of float(x) and its two neighbours.  The exact reference is the
+    bracket n/2^2000 < x < (n + 1)/2^2000 with n = floor_times(2^2000).
+    Every midpoint of two floats is a multiple of 2^-1075, so none lies
+    strictly inside the bracket, and the bracket decides the comparison."""
+    f = float(x)
+    if x.is_rational:
+        assert f == float(x.a)
+        return
+    n = x.floor_times(2**2000)
+    below = (Fraction(f) + Fraction(math.nextafter(f, -math.inf))) / 2
+    above = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    assert below <= Fraction(n, 2**2000) and Fraction(n + 1, 2**2000) <= above
 
 
 class TestSquarefreeDecompose:
@@ -251,6 +270,16 @@ class TestArithmetic:
         assert x * (3 - 2 * QI.sqrt(7)) == QI(9 - 4 * 7)
 
 
+class TestParseRational:
+    def test_exponent_up_to_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e{limit}") == 10**limit
+        assert parse_rational(f" -2.5E-{limit} ") == Fraction(-25, 10 ** (limit + 1))
+        for text in (f"1e{limit + 1}", f"1e-{limit + 1}", "-1e10000000", "1.5e+1_000_000"):
+            with pytest.raises(ValueError, match="decimal exponent beyond the int-digit limit"):
+                parse_rational(text)
+
+
 class TestCanonicalOps:
     BIG_PRIME = 1_000_000_000_039  # above 10**12
 
@@ -280,10 +309,10 @@ class TestCanonicalOps:
             (Fraction(2, 3), 4, d),
             (Fraction(1, 9) - 4 * d, 0, 0),
         ]
-        assert products[3] == p.eval_rational(x.a) + x.b * r * (
+        assert products[3] == horner_eval_rational(p, x.a) + x.b * r * (
             p.c1 + 2 * p.c2 * x.a
         ) + p.c2 * x.b * x.b * d
-        assert products[4] == QI(p.eval_rational(7))
+        assert products[4] == QI(horner_eval_rational(p, 7)) == QI(Fraction(*p.grid_value(7, 1)))
 
     @given(rationals, rationals, rationals, rationals,
            st.integers(min_value=0, max_value=10**6))
@@ -316,6 +345,13 @@ class TestFormat:
             assert eval(repr(x), names) == x
 
 
+coefficients = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6).map(Fraction),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+coefficient_triples = st.tuples(coefficients, coefficients, coefficients)
+
+
 class TestQuadPoly:
     def test_eval_on_irrational(self):
         p = QuadPoly(-2, 0, 1)  # x^2 - 2
@@ -326,13 +362,35 @@ class TestQuadPoly:
         p = QuadPoly(1, -2, 3)
         assert p.reflect() == QuadPoly(1, 2, 3)
         assert p.derivative() == QuadPoly(-2, 6, 0)
-        assert p.eval_rational(Fraction(1, 2)) == Fraction(3, 4)
+        assert p.grid_value(1, 2) == (3, 4) and horner_eval_rational(p, Fraction(1, 2)) == Fraction(3, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_triples, coefficient_triples)
+    # 1/2 + 1/2 = 1 needs the gcd; so does (1 + x^2)/2, whose derivative is x
+    @example((Fraction(1, 2), 0, 0), (Fraction(1, 2), 0, 0))
+    @example((Fraction(1, 2), 0, Fraction(1, 2)), (0, 0, 0))
+    # denominators 2 and 2: their lcm is 2, their product 4
+    @example((Fraction(1, 2), Fraction(1, 2), 0), (0, 0, 0))
+    def test_stored_form_is_canonical(self, cs, ds):
+        """Every constructor stores the unique form: the coefficients read
+        back, gcd(A0, A1, A2, L) = 1 and L > 0, so equal polynomials compare
+        and hash equal whichever way they were built."""
+        p, q = QuadPoly(*cs), QuadPoly(*ds)
+        assert (p.c0, p.c1, p.c2) == tuple(Fraction(c) for c in cs)
+        built = {
+            "+": (p + q, [c + d for c, d in zip(cs, ds)]),
+            "-": (p - q, [c - d for c, d in zip(cs, ds)]),
+            "neg": (-p, [-c for c in cs]),
+            "reflect": (p.reflect(), [cs[0], -cs[1], cs[2]]),
+            "derivative": (p.derivative(), [cs[1], 2 * cs[2], 0]),
+        }
+        for r, coefficients in [(p, cs), (q, ds), *built.values()]:
+            stored = (r._A0, r._A1, r._A2, r._L)
+            assert all(type(n) is int for n in stored)
+            assert r._L > 0 and math.gcd(*stored) == 1
+            assert r == QuadPoly(*coefficients) and hash(r) == hash(QuadPoly(*coefficients))
 
 
-coefficients = st.one_of(
-    st.integers(min_value=-10**6, max_value=10**6).map(Fraction),
-    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
-)
 polys = st.builds(QuadPoly, coefficients, coefficients, coefficients)
 
 
@@ -362,13 +420,17 @@ class TestEvalOracle:
     """The closed-form evaluations against the Horner and ring-operation forms."""
 
     @settings(max_examples=200, deadline=None)
-    @given(polys, st.one_of(grid_points(), st.integers(-10**9, 10**9), st.fractions()))
-    @example(QuadPoly(1, -2, 3), Fraction(3, 1024))
-    @example(QuadPoly(Fraction(1, 6), Fraction(-5, 4), Fraction(7, 9)), Fraction(-1, 3))
-    def test_eval_rational_matches_horner(self, p, x):
-        got = p.eval_rational(x)
-        assert type(got) is Fraction
-        assert got == horner_eval_rational(p, x)
+    @given(polys, st.one_of(grid_points(), st.integers(-10**9, 10**9), st.fractions()),
+           st.integers(min_value=1, max_value=5))
+    @example(QuadPoly(1, -2, 3), Fraction(3, 1024), 1)
+    @example(QuadPoly(Fraction(1, 6), Fraction(-5, 4), Fraction(7, 9)), Fraction(-1, 3), 2)
+    def test_grid_value_matches_horner(self, p, x, scale):
+        """grid_value(k, den) is the value at k/den, for den in lowest terms
+        or not, as an unreduced pair of ints over a positive denominator."""
+        x = Fraction(x)
+        n, m = p.grid_value(scale * x.numerator, scale * x.denominator)
+        assert type(n) is int and type(m) is int and m > 0
+        assert Fraction(n, m) == horner_eval_rational(p, x)
 
     @settings(max_examples=200, deadline=None)
     @given(polys, st.one_of(field_points(), coefficients))
@@ -401,14 +463,31 @@ class TestFloorTimes:
         assert QI(Fraction(k, den)) <= x < QI(Fraction(k + 1, den))
 
 
+class TestFloat:
+    """float of a quadratic irrational against the exact bracket at 2^-2000."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(field_points(), coefficients))
+    # the parts cancel: (3 - 2*sqrt(2))^30 is about 1.08e-23, and the
+    # breakpoint of the leaf (2, 69523264248641314, 1) about -1.4e-17
+    @example(46292552162781456490001 - 32733777552734744709300 * QI.sqrt(2))
+    @example(-34761632124320657 + 24580185800219268 * QI.sqrt(2))
+    # sqrt(2)*2^54 lies just above a rounding boundary of the 55th bit
+    @example(QI.sqrt(2))
+    @example(-QI.sqrt(2))
+    def test_float_is_correctly_rounded(self, x):
+        assert_correctly_rounded(x if isinstance(x, QI) else QI(x))
+
+
 def assert_twins(z: QI, oz: OracleQI) -> None:
     """z is the library's value of the oracle's value oz: the same a, b and d,
-    text and float; equal to a rational exactly when oz is; for a rational,
+    and text; a correctly rounded float; equal to a rational exactly when oz is; for a rational,
     the hash of its Fraction; for an irrational, the hash of the same value
     built again from its parts; and stored canonically."""
     assert type(z) is QI and type(z.a) is Fraction and type(z.b) is Fraction
     assert (z.a, z.b, z.d) == (oz.a, oz.b, oz.d)
-    assert (str(z), repr(z), float(z)) == (str(oz), repr(oz), float(oz))
+    assert (str(z), repr(z)) == (str(oz), repr(oz))
+    assert_correctly_rounded(z)
     assert (z == oz.a) is (oz == oz.a) and (z == z.a.numerator) is (oz == oz.a.numerator)
     assert_canonical(z)
     if oz.is_rational:

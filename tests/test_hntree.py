@@ -23,17 +23,10 @@ from tiltwall.hntree import (
     trivial_chd,
     validate_tree,
 )
-from tiltwall.lattice import (
-    ChernClass,
-    SurfaceConfig,
-    chd_polynomial,
-    class_sub,
-    discriminant,
-    mu_slope,
-)
-from tiltwall.walls import Nesting, Semicircle, enumerate_candidates, nesting, wall_between
+from tiltwall.lattice import ChernClass, chd_polynomial, class_sub, discriminant
+from tiltwall.walls import Semicircle, wall_between
 from tiltwall import catalog, exactnum
-from conftest import chd0_value_by_factors, mutated_trees
+from conftest import chd0_value_by_factors, enumerated_trees, mutated_trees
 
 F = Fraction
 
@@ -479,52 +472,6 @@ class TestBreakpointReports:
                 assert quad_eval(right, report.x) - quad_eval(left, report.x) == (
                     report.derivative_jump
                 )
-
-
-def _split(rng, v, cfg, beta, parent_wall, depth):
-    """v as a leaf, or split along one of its walls through beta, strictly
-    nested in parent_wall, into a witness and its complement in random order;
-    each child splits again at the centre of that wall, where both are in the
-    heart."""
-    if depth == 0 or rng.random() < 0.25:
-        return TreeLeaf(v)
-    cands = enumerate_candidates(v, beta, F(1, 20), None, cfg)
-    if parent_wall is not None:
-        cands = [
-            c for c in cands
-            if nesting(c.wall, parent_wall).relation is Nesting.NESTED
-            and c.wall.radius_sq < parent_wall.radius_sq
-        ]
-    if not cands:
-        return TreeLeaf(v)
-    c = rng.choice(cands)
-    w = rng.choice(c.witnesses)
-    pair = [w, class_sub(v, w)]
-    rng.shuffle(pair)
-    children = [_split(rng, u, cfg, c.wall.center, c.wall, depth - 1) for u in pair]
-    return TreeNode(v, c.wall, children)
-
-
-def enumerated_trees(seed: int, count: int) -> list[tuple[str, TreeNode]]:
-    """count trees of depth <= 2 that validate_tree accepts, split along the
-    walls and witnesses of enumerate_candidates, on both presets."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        cfg = SurfaceConfig.preset(rng.choice(["ppas", "abelian-(1,2)"]))
-        den = cfg.v2_denominator
-        v = ChernClass(
-            cfg.v0_step * rng.randint(1, 2),
-            cfg.v1_step * rng.randint(-2, 2),
-            F(rng.randint(-6 * den, 0), den),
-        )
-        if discriminant(v) <= 0:
-            continue
-        beta = mu_slope(v) - F(rng.randint(1, 6), rng.randint(1, 3))
-        tree = _split(rng, v, cfg, beta, None, 2)
-        if isinstance(tree, TreeNode) and validate_tree(tree):
-            out.append((cfg.name, tree))
-    return out
 
 
 ENUMERATED_TREES = enumerated_trees(seed=7, count=60)
