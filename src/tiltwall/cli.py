@@ -61,7 +61,6 @@ def _emit(text: str, out) -> None:
 def cmd_walls(args) -> int:
     cfg = _load_config(args)
     v = ChernClass.parse(args.cls)
-    cfg.check_class(v)
     beta = parse_rational(args.beta)
     candidates = enumerate_candidates(
         v,

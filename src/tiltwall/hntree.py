@@ -35,7 +35,9 @@ from .lattice import (
     p_intercept,
     tilt_slope,
 )
-from .walls import NumericalWall, Nesting, Semicircle, nesting, wall_between, wall_from_json
+from .walls import (
+    NumericalWall, Nesting, Semicircle, nesting, wall_a_at, wall_between, wall_from_json,
+)
 
 QI = QuadraticIrrational
 
@@ -314,7 +316,8 @@ def hn_factors_at(tree: HNTree, a, beta) -> list[tuple[ChernClass, object]]:
     """Harder-Narasimhan factor classes (with tilt slopes) at the point (a, beta).
 
     A node splits into its children iff the point lies strictly inside the
-    node's wall.  At a = 0 consecutive equal-slope factors are merged.
+    node's wall: below the wall's height ``wall_a_at`` over beta.  At a = 0
+    consecutive equal-slope factors are merged.
     """
     a, beta = Fraction(a), Fraction(beta)
     if a < 0:
@@ -328,12 +331,11 @@ def hn_factors_at(tree: HNTree, a, beta) -> list[tuple[ChernClass, object]]:
             return [node.cls]
         if not isinstance(node.wall, Semicircle):
             raise ValueError("vertical walls are not supported in trees")
-        gap = (beta - node.wall.center) ** 2 + 2 * a - node.wall.radius_sq
-        if gap == 0:
-            raise PointOnWallError("point lies on a wall; filtration not unique")
-        inside = gap < 0
-        if not inside:
+        top = wall_a_at(node.wall, beta)
+        if top is None or a > top:
             return [node.cls]
+        if a == top:
+            raise PointOnWallError("point lies on a wall; filtration not unique")
         out: list[ChernClass] = []
         for child in node.children:
             out.extend(collect(child))

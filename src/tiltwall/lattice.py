@@ -104,7 +104,7 @@ class ChernClass:
         if not isinstance(data, (list, tuple)) or len(data) != 3:
             raise ValueError(f"class must be a list [v0, v1, v2], got {data!r}")
         v0, v1, v2 = data
-        if not all(isinstance(x, (int, str)) for x in (v0, v1)):
+        if not all(isinstance(x, (int, str)) and not isinstance(x, bool) for x in (v0, v1)):
             raise ValueError(f"class ranks and degrees must be integers, got {data!r}")
         return cls(int(v0), int(v1), parse_rational(str(v2)))
 

@@ -27,9 +27,11 @@ that both discriminants are 0 or multiples of the minimal discriminant
 The search inside the rank window is integer arithmetic.  With beta* = p/q
 and v2 = n/d, each (w0, w1) gets integer half-line thresholds and w2 bounds,
 compared by cross-multiplication and rounded with floor division; the
-spectrum test is two congruences on scaled discriminants; and only a
-survivor builds Fractions: its w2, and its wall and crossing height from
-closed forms in the same integers.
+spectrum test is two congruences on scaled discriminants.  The survivors
+come in pairs {w, v - w} with one wall; the search keeps the smaller member
+of each pair, as the only class it builds, and ``enumerate_candidates``
+groups the kept classes by ``wall_between`` and takes each wall's crossing
+height from ``wall_a_at``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .exactnum import format_rational, parse_rational
 from .lattice import (
     ChernClass,
     SurfaceConfig,
-    class_sub,
     discriminant,
     mu_slope,
     twist,
@@ -179,12 +180,6 @@ class WallCandidate:
     witnesses: tuple[ChernClass, ...] = field(default=(), compare=False)
 
 
-def _normalized_witness(v: ChernClass, w: ChernClass) -> ChernClass:
-    """Among w and v - w, the lexicographically smaller triple."""
-    u = class_sub(v, w)
-    return min(w, u, key=lambda c: (c.v0, c.v1, c.v2))
-
-
 def _w0_bound(v: ChernClass, beta_star: Fraction, a_min: Fraction) -> int:
     """Largest |w0| of any candidate crossing the segment (exact, complete).
 
@@ -249,8 +244,13 @@ def _candidate_pairs_for_w0(
     a_max: Optional[Fraction],
     cfg: SurfaceConfig,
     w0: int,
-) -> list[tuple[Semicircle, ChernClass, Fraction]]:
-    """Kept candidates of rank w0, with w2 run over a crossing-height window.
+) -> list[ChernClass]:
+    """Kept candidates w of rank w0 with w < v - w, in the order visited.
+
+    w2 runs over a crossing-height window, and w < v - w is the
+    lexicographic order of the triples; ``enumerate_candidates`` proves
+    that on cfg's lattice this keeps exactly one member of each pair
+    {w, v - w} of kept candidates.
 
     A candidate w is kept when 0 < ch1^beta*(w) <= ch1^beta*(v), its wall
     with v is a semicircle that meets beta = beta* at a height in
@@ -377,21 +377,11 @@ def _candidate_pairs_for_w0(
     exactly when that integer is divisible by den*m (or d*den*m).  So
     ``_screen_candidate`` decides the spectrum by two congruences.
 
-    The survivors.  With M = d*den, the numerators over M of
-    d02 = v0*w2 - v2*w0 and d12 = v1*w2 - v2*w1 are the integers
-    D02 = d*v0*k - den*n*w0 and D12 = d*v1*k - den*n*w1.  Put
-    R = M*d01 != 0.  ``wall_between``'s center = d02/d01 and
-    radius_sq = center^2 - 2*d12/d01 are then
-
-        center = D02/R,  radius_sq = (D02^2 - 2*D12*R)/R^2,
-
-    and the crossing height (radius_sq - (b - center)^2)/2, with
-    b - center = (p*R - q*D02)/(q*R), expands (the D02^2 terms cancel) to
-
-        cross_a = (2*p*q*D02 - 2*q^2*D12 - p^2*R) / (2*q^2*R).
-
-    Everything above is integer arithmetic until these three quotients and
-    the survivor's w2 = k/den.
+    The pair filter.  w < v - w compares (w0, w1, w2) with
+    (v0 - w0, v1 - w1, v2 - w2), that is (2*w0, 2*w1, 2*w2) with
+    (v0, v1, v2); with w2 = k/den and v2 = n/d the last entries compare as
+    2*d*k against den*n.  Everything above is integer arithmetic until the
+    kept class's w2 = k/den.
     """
     p, q = beta_star.numerator, beta_star.denominator
     n, d = v.v2.numerator, v.v2.denominator
@@ -433,15 +423,11 @@ def _candidate_pairs_for_w0(
         k_hi = den * (H * last[1] + K * G * last[0]) // (K * T_v * last[1])
         disc_w1 = den * w1 * w1
         disc_u1 = M * (v1 - w1) ** 2 - 2 * u0 * den * n
-        R = M * (v0 * w1 - v1 * w0)
         for k in range(k_lo, k_hi + 1):
             if not _screen_candidate(disc_w1 - 2 * w0 * k, disc_u1 + 2 * u0 * d * k, mod_w, mod_u):
                 continue
-            D02 = d * v0 * k - den * n * w0
-            D12 = d * v1 * k - den * n * w1
-            wall = Semicircle(Fraction(D02, R), Fraction(D02 * D02 - 2 * D12 * R, R * R))
-            cross_a = Fraction(2 * p * q * D02 - 2 * q * q * D12 - p * p * R, 2 * q * q * R)
-            out.append((wall, ChernClass(w0, w1, Fraction(k, den)), cross_a))
+            if (2 * w0, 2 * w1, 2 * d * k) < (v0, v1, den * n):
+                out.append(ChernClass(w0, w1, Fraction(k, den)))
     return out
 
 
@@ -470,13 +456,43 @@ def enumerate_candidates(
 
     The candidates are the kept ones defined in ``_candidate_pairs_for_w0``.
     Without a_max the search covers the whole half-line a >= a_min; it is
-    finite all the same (see ``_candidate_pairs_for_w0``).
+    finite all the same (see ``_candidate_pairs_for_w0``).  v must lie on
+    cfg's lattice (``SurfaceConfig.check_class``; LatticeError otherwise).
 
-    Candidates are deduplicated by wall (all witnesses kept, the primary one
-    normalized) and sorted by crossing height descending (outermost first).
+    Each wall comes once, with its witnesses: the smaller member, in the
+    lexicographic order of the triples, of every pair {w, v - w} of kept
+    candidates on it, in ascending order; the first of them is the primary
+    witness.  The walls are sorted by crossing height descending
+    (outermost first).
+
+    Proof that the search returns exactly these witnesses.  Let w be kept
+    and u = v - w.  u is kept too:
+
+    - u is on the lattice and visited at the rank u0: v is on the lattice,
+      so u0, u1 and den*u2 are multiples of v0_step, v1_step and 1 as those
+      of w are, and the rank window [min(0, v0) - d, max(0, v0) + d] is
+      symmetric under x -> v0 - x (its ends add up to v0).
+    - 0 < ch1^beta*(u) <= ch1^beta*(v): ch1^beta*(u) = S/q, and S > 0 by
+      part 2 of ``_candidate_pairs_for_w0`` while S = T_v - T < T_v.
+    - Every other condition of a kept candidate is symmetric in w and u:
+      ``wall_between(v, u)`` is the wall of w (the equal-slope locus of v
+      and u is that of v and w), so is its height at beta*, the heart at
+      the top holds strictly for both (part 3), the spectrum and the
+      discriminant sum see the pair {disc(w), disc(u)}.
+
+    And u != w: 2w = v would give u0 = w0 and S = T, so G = w0*S - u0*T =
+    0, which no kept candidate has.  So the kept candidates fall into
+    pairs {w, v - w} with one wall, and w < v - w keeps one member of each,
+    the smaller.  The loops visit (w0, w1, k) in ascending order (w0 here,
+    w1 and k in ``_candidate_pairs_for_w0``) and w2 = k/den, so the kept
+    classes arrive in lexicographic order, and grouping them by wall in
+    that order lists each wall's witnesses ascending.  Off the lattice u
+    may never be visited (v2 = -26/3 on ppas gives u2 of denominator 6),
+    so the pair filter would lose walls: hence the lattice check.
     """
     if cfg is None:
         cfg = SurfaceConfig.preset("ppas")
+    cfg.check_class(v)
     beta_star = Fraction(beta_star)
     a_min = Fraction(a_min)
     if a_min <= 0:
@@ -492,20 +508,14 @@ def enumerate_candidates(
         raise ValueError("class is not in the heart at beta_star (nonpositive twisted degree)")
 
     d = _w0_bound(v, beta_star, a_min) - abs(v.v0)
-    raw = []
+    groups: dict[Semicircle, list[ChernClass]] = {}
     for w0 in range(min(0, v.v0) - d, max(0, v.v0) + d + 1):
         if w0 % cfg.v0_step == 0:
-            raw.extend(_candidate_pairs_for_w0(v, beta_star, a_min, a_max, cfg, w0))
-
-    # canonical grouping by wall, independent of discovery order
-    groups: dict[Semicircle, tuple[Fraction, set[ChernClass]]] = {}
-    for wall, w, cross_a in raw:
-        if wall not in groups:
-            groups[wall] = (cross_a, set())
-        groups[wall][1].add(_normalized_witness(v, w))
-    result = []
-    for wall, (cross_a, witnesses) in groups.items():
-        ordered = tuple(sorted(witnesses, key=lambda c: (c.v0, c.v1, c.v2)))
-        result.append(WallCandidate(wall, ordered[0], cross_a, witnesses=ordered))
+            for w in _candidate_pairs_for_w0(v, beta_star, a_min, a_max, cfg, w0):
+                groups.setdefault(wall_between(v, w), []).append(w)
+    result = [
+        WallCandidate(wall, ws[0], wall_a_at(wall, beta_star), witnesses=tuple(ws))
+        for wall, ws in groups.items()
+    ]
     result.sort(key=lambda c: (-c.cross_a, c.wall.center))
     return result

@@ -37,6 +37,7 @@ RANK_WINDOW = (
     "tests/test_walls.py::TestRankWindow::test_probe_window_is_small_and_independent_of_a_min"
 )
 INTEGER_WINDOW = "tests/test_walls.py::TestIntegerWindow::test_fixed_queries_keep_candidates"
+BRUTE_FORCE = "tests/test_walls.py::TestRankWindow::test_matches_brute_force"
 ONE_VIOLATION = "tests/test_cli.py::TestValidateCommand::test_one_violation_exits_1_everywhere"
 EVAL_ORACLE = "tests/test_exactnum.py::TestEvalOracle"
 QI_ORACLE = "tests/test_exactnum.py::TestQIOracle"
@@ -91,6 +92,15 @@ MUTANTS = [
         breaks="a rank-0 leaf has positive degree, so its jump v1 is sqrt(disc) "
         "(jump proof of `ValidationReport.breakpoints`)",
         killed_by=ONE_VIOLATION,
+    ),
+    Mutant(
+        name="point beside a wall taken as inside it",
+        module="hntree",
+        old="top is None or a > top",
+        new="top is not None and a > top",
+        breaks="a node splits only at a point strictly below its wall, and a wall "
+        "has no height beside its feet (`hn_factors_at`, `walls.wall_a_at`)",
+        killed_by="tests/test_hntree.py::TestHNFactors::test_beside_the_walls",
     ),
     Mutant(
         name="discriminant-sum check deleted",
@@ -327,6 +337,33 @@ MUTANTS = [
         breaks="d*den*disc(v - w) is a multiple of d*den*m exactly when disc(v - w) "
         "is a multiple of m (the screen of `_candidate_pairs_for_w0`)",
         killed_by=INTEGER_WINDOW,
+    ),
+    Mutant(
+        name="pair filter dropped",
+        module="walls",
+        old="if (2 * w0, 2 * w1, 2 * d * k) < (v0, v1, den * n):",
+        new="if True:",
+        breaks="each pair {w, v - w} of kept candidates gives one witness, the "
+        "smaller (proof in `enumerate_candidates`)",
+        killed_by=BRUTE_FORCE,
+    ),
+    Mutant(
+        name="pair filter reversed",
+        module="walls",
+        old="if (2 * w0, 2 * w1, 2 * d * k) < (v0, v1, den * n):",
+        new="if (2 * w0, 2 * w1, 2 * d * k) > (v0, v1, den * n):",
+        breaks="the witness of a pair {w, v - w} is the lexicographically smaller "
+        "member (proof in `enumerate_candidates`)",
+        killed_by=BRUTE_FORCE,
+    ),
+    Mutant(
+        name="lattice check dropped",
+        module="walls",
+        old="    cfg.check_class(v)\n",
+        new="",
+        breaks="the pairs {w, v - w} close up only on cfg's lattice, so an "
+        "off-lattice class is refused (proof in `enumerate_candidates`)",
+        killed_by="tests/test_walls.py::TestEnumeration::test_off_lattice_class_refused",
     ),
 ]
 

@@ -456,6 +456,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize("data", [
         {"class": 5},
         {"class": [2, None, 1]},
+        {"class": [True, 0, "-5"]},  # JSON booleans are no integers
+        {"class": [2, False, "-5"]},
         [1, 2, 3],
         {"class": [2, 0, -2], "children": 3},
         {"class": [2, 0, "-2"], "wall": {"center": "1", "radius_sq": "1"}},  # wall, no children

@@ -4,7 +4,9 @@ Each digest is the sha256 of a command's stdout.  The `check`, `catalog` and
 `walls` digests were recorded before the crossing-height window became the
 only judge of which candidates reach the spectrum test; the `chd` digests,
 which pin the assembled chd0 and chd1 of every tree scenario, were recorded
-before assembly stopped re-checking its own output.  The `--help` digests
+before assembly stopped re-checking its own output; the rank-0,
+negative-rank and abelian-(1,2) `walls` digests were recorded before the
+search kept one witness of each pair {w, v - w}.  The `--help` digests
 were recorded with COLUMNS=80 on Python 3.11, before the parser was built
 once per process; argparse lays help out differently across Python versions,
 so they are compared on 3.11 only.  A change that keeps the contract keeps
@@ -62,6 +64,14 @@ CONTRACT = [
     # no top: 17 walls, the outermost at a = 805/4
     (("walls", "--class", "2,8,-51/2", "--beta", "-20", "--amin", "1/100", "--format", "json"),
      "d18a06845a0c20708a9d2a4ff8701fa53915a19b8280199b838673a77eb5a0f9"),
+    # rank 0, negative rank, and the abelian-(1,2) lattice
+    (("walls", "--class", "0,6,-9", "--beta", "-3/2", "--amin", "1/50", "--format", "json"),
+     "6d76e4f3ba860024776d06d55299edb9780ad6c01c2ce15f7637a99cf8c87bf8"),
+    (("walls", "--class", "-2,8,-10", "--beta", "-3/2", "--amin", "1/50", "--format", "json"),
+     "022c7a11418dcfb8ce6ad4f63ad0056909c52ee3f2772eac08c9e64a94c40599"),
+    (("walls", "--preset", "abelian-(1,2)", "--class", "0,16,-10", "--beta", "-3/2",
+      "--amin", "1/50", "--format", "json"),
+     "5f5661eb8d6b926345e75d17b8f388b6be79f1343fc1a42a4a3ff978fc422e0a"),
     # chd0 and chd1 of every tree scenario, as assembled
     *(
         (("chd", "--scenario", sid, "--k", k, "--format", "json"), digest)

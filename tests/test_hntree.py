@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -167,6 +168,14 @@ class TestHNFactors:
     def test_point_on_wall_refused(self):
         with pytest.raises(PointOnWallError):
             hn_factors_at(n4_tree(), F(9, 8), F(-5, 2))
+        # the outer wall's foot at beta = -4 is on the wall at a = 0
+        with pytest.raises(PointOnWallError):
+            hn_factors_at(n4_tree(), 0, F(-4))
+
+    def test_beside_the_walls(self):
+        # the outer wall spans -4 < beta < -1, so it has no height over -9/2
+        factors = hn_factors_at(n4_tree(), F(1, 100), F(-9, 2))
+        assert [c for c, _ in factors] == [ChernClass(2, 0, -4)]
 
     def test_trivial_tree(self):
         leaf = TreeLeaf(ChernClass(2, 0, -1))
@@ -230,7 +239,9 @@ class TestPiecewiseQuadratic:
         assert fn.check_nonnegative()
 
 
+@functools.cache
 def _catalog_functions() -> list[PiecewiseQuadratic]:
+    """Built on first use, so a fault in assembly fails tests, not collection."""
     fns = []
     for sid in catalog.list_scenarios():
         tree = catalog.load_scenario(sid).tree
@@ -241,7 +252,6 @@ def _catalog_functions() -> list[PiecewiseQuadratic]:
     return fns + [fn.reflect() for fn in fns]
 
 
-CATALOG_FUNCTIONS = _catalog_functions()
 small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
@@ -271,7 +281,7 @@ def functions_with_grid_points(draw):
     """A function, a grid denominator den of 1024 or 4096, and numerators k
     in any order: random ones, and floor(b*den) - 1, floor(b*den) and
     floor(b*den) + 1 for each breakpoint b."""
-    fn = draw(st.one_of(st.sampled_from(CATALOG_FUNCTIONS), mixed_field_functions()))
+    fn = draw(st.one_of(st.sampled_from(_catalog_functions()), mixed_field_functions()))
     den = draw(st.sampled_from([1024, 4096]))
     ends = [float(b) for b in fn.breakpoints] or [0.0]
     lo, hi = math.floor(min(ends)) - 2, math.ceil(max(ends)) + 2

@@ -76,6 +76,11 @@ class TestChernClass:
         v = ChernClass(2, -4, F(7, 2))
         assert ChernClass.from_json(v.to_json()) == v
 
+    @pytest.mark.parametrize("data", [[True, 0, "-5"], [2, False, "-5"], [2, 0, True]])
+    def test_json_booleans_refused(self, data):
+        with pytest.raises(ValueError):
+            ChernClass.from_json(data)
+
     def test_involutions(self):
         v = ChernClass(2, -4, F(7, 2))
         assert class_add(v, ChernClass(-2, 4, F(-7, 2))) == ChernClass(0, 0, 0)

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from tiltwall.catalog import _crosses_exactly_along
 from tiltwall.hntree import TreeNode
 from tiltwall.lattice import (
     ChernClass,
+    LatticeError,
     SurfaceConfig,
     class_sub,
     discriminant,
@@ -203,6 +203,13 @@ class TestEnumeration:
             enumerate_candidates(ChernClass(2, 0, 1), F(-1), F(1, 100))
         with pytest.raises(ValueError, match="heart"):
             enumerate_candidates(ChernClass(0, -2, 1), F(-2), F(1, 100))
+
+    @pytest.mark.parametrize("v", [ChernClass(2, 0, F(-26, 3)), ChernClass(3, 0, -5)])
+    def test_off_lattice_class_refused(self, v):
+        # off the lattice v - w need not be visited, and the pair filter
+        # would drop walls; see the proof in ``enumerate_candidates``
+        with pytest.raises(LatticeError):
+            enumerate_candidates(v, F(-2), F(1, 50), None, PPAS)
 
     def test_all_walls_cross_segment(self):
         v = ChernClass(2, 0, -25)
@@ -413,16 +420,17 @@ class TestCrossingHeightWindow:
 def integer_window_queries(draw):
     """(cfg, v, beta*, a_min, a_max) for the integer search against its Fraction form.
 
-    beta* has denominator 1, 2, 3 or 7 and v2 denominator 1, 2, 3 or 5, so
-    neither need divide v2_denominator; v0 is negative, zero or positive,
-    and a_max is often None.
+    v lies on cfg's lattice; beta* has denominator 1, 2, 3 or 7, so it need
+    not divide v2_denominator, and v2 = k/v2_denominator reduces to
+    denominator 1 or 2; v0 is negative, zero or positive, and a_max is
+    often None.
     """
     cfg = SurfaceConfig.preset(draw(st.sampled_from(["ppas", "abelian-(1,2)"])))
     v0 = cfg.v0_step * draw(st.sampled_from([-1, 0, 1]))
     beta = F(draw(st.integers(-21, 21)), draw(st.sampled_from([1, 2, 3, 7])))
     # the least multiple of v1_step above beta*v0 keeps ch1^beta*(v) > 0
     v1 = cfg.v1_step * ((beta * v0) // cfg.v1_step + draw(st.integers(1, 6)))
-    dd = draw(st.sampled_from([1, 2, 3, 5]))
+    dd = cfg.v2_denominator
     if v0 == 0:
         v2 = F(draw(st.integers(-60, 60)), dd)
     else:
@@ -436,25 +444,37 @@ def integer_window_queries(draw):
     return cfg, v, beta, a_min, a_max
 
 
+def _lex(c: ChernClass) -> tuple:
+    return (c.v0, c.v1, c.v2)
+
+
 class TestIntegerWindow:
     """``_candidate_pairs_for_w0`` in integers against its Fraction form.
 
     The oracle in ``walls_oracle`` computes the same window from Fraction
     values of t, g, the half-line thresholds and the w2 bounds, and screens
-    every point with ``discriminant`` and ``wall_between``; the two must
-    return the same (wall, w, cross_a) multiset for every rank in the
-    ``_w0_bound`` window.
+    every point with ``discriminant`` and ``wall_between``; for every rank
+    in the ``_w0_bound`` window the library must return, in the same order,
+    exactly the oracle's survivors w with w < v - w.
     """
 
     @staticmethod
-    def assert_same_pairs(cfg, v, beta, a_min, a_max):
-        d = _w0_bound(v, beta, a_min) - abs(v.v0)
+    def oracle_classes(cfg, v, beta, a_min, a_max, w0):
         top = math.inf if a_max is None else a_max
+        return [w for _, w, _ in fraction_candidate_pairs_for_w0(v, beta, a_min, top, cfg, w0)]
+
+    @staticmethod
+    def ranks(cfg, v, beta, a_min):
+        d = _w0_bound(v, beta, a_min) - abs(v.v0)
+        return [w0 for w0 in range(min(0, v.v0) - d, max(0, v.v0) + d + 1)
+                if w0 % cfg.v0_step == 0]
+
+    def assert_same_pairs(self, cfg, v, beta, a_min, a_max):
         kept = 0
-        for w0 in range(min(0, v.v0) - d, max(0, v.v0) + d + 1):
+        for w0 in self.ranks(cfg, v, beta, a_min):
             fast = _candidate_pairs_for_w0(v, beta, a_min, a_max, cfg, w0)
-            slow = fraction_candidate_pairs_for_w0(v, beta, a_min, top, cfg, w0)
-            assert Counter(fast) == Counter(slow), w0
+            slow = self.oracle_classes(cfg, v, beta, a_min, a_max, w0)
+            assert fast == [w for w in slow if _lex(w) < _lex(class_sub(v, w))], w0
             kept += len(fast)
         return kept
 
@@ -464,6 +484,22 @@ class TestIntegerWindow:
     )
     def test_same_pairs_as_fraction_form(self, query):
         self.assert_same_pairs(*query)
+
+    @given(integer_window_queries())
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    @example((PPAS, ChernClass(2, 0, -25), F(-6), F(1, 100), F(30)))
+    def test_oracle_survivors_pair_up(self, query):
+        # the proof in ``enumerate_candidates``: on the lattice the survivors
+        # of the whole rank window are closed under w -> v - w, each once
+        cfg, v, beta, a_min, a_max = query
+        survivors = [
+            w for w0 in self.ranks(cfg, v, beta, a_min)
+            for w in self.oracle_classes(cfg, v, beta, a_min, a_max, w0)
+        ]
+        assert len(set(survivors)) == len(survivors)
+        assert {class_sub(v, w) for w in survivors} == set(survivors)
 
     @pytest.mark.parametrize(
         "cfg, v, beta, a_min, a_max",
@@ -478,9 +514,9 @@ class TestIntegerWindow:
             # v0 < 0 and v0 = 0
             (ABELIAN, ChernClass(-4, -8, 3), F(7, 2), F(1, 15), None),
             (PPAS, ChernClass(0, 6, -8), F(-2, 3), F(1, 50), None),
-            # v2 denominators 3 and 5, which do not divide v2_denominator
-            (PPAS, ChernClass(2, 0, F(-26, 3)), F(-2), F(1, 50), None),
-            (ABELIAN, ChernClass(-4, 4, F(36, 5)), F(2, 7), F(1, 50), None),
+            # v2 of denominator 2 = v2_denominator, and 1 below it
+            (PPAS, ChernClass(2, 0, F(-17, 2)), F(-2), F(1, 50), None),
+            (ABELIAN, ChernClass(-4, 4, 7), F(2, 7), F(1, 50), None),
         ],
     )
     def test_fixed_queries_keep_candidates(self, cfg, v, beta, a_min, a_max):
