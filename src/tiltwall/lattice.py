@@ -204,10 +204,6 @@ def class_add(v: ChernClass, w: ChernClass) -> ChernClass:
     return ChernClass(v.v0 + w.v0, v.v1 + w.v1, v.v2 + w.v2)
 
 
-def class_sub(v: ChernClass, w: ChernClass) -> ChernClass:
-    return ChernClass(v.v0 - w.v0, v.v1 - w.v1, v.v2 - w.v2)
-
-
 def line_bundle_class(k: int, cfg: SurfaceConfig) -> ChernClass:
     """Class of the k-th power of the polarization: (L^2, k*L^2, k^2*L^2/2)."""
     v = ChernClass(cfg.l2, k * cfg.l2, Fraction(k * k * cfg.l2, 2))

@@ -23,9 +23,10 @@ from tiltwall.hntree import (
     tree_to_json,
     validate_tree,
 )
-from tiltwall.lattice import class_sub, discriminant, mu_slope
+from tiltwall.lattice import discriminant, mu_slope
 from tiltwall.svgplot import _Frame, _fmt, function_range
 from tiltwall.walls import Nesting, enumerate_candidates, nesting
+from walls_oracle import class_sub
 
 PPAS = SurfaceConfig.preset("ppas")
 

@@ -24,10 +24,11 @@ from tiltwall.hntree import (
     trivial_chd,
     validate_tree,
 )
-from tiltwall.lattice import ChernClass, chd_polynomial, class_sub, discriminant
+from tiltwall.lattice import ChernClass, chd_polynomial, discriminant
 from tiltwall.walls import Semicircle, wall_between
 from tiltwall import catalog, exactnum
 from conftest import chd0_value_by_factors, enumerated_trees, mutated_trees
+from walls_oracle import class_sub
 
 F = Fraction
 

@@ -14,7 +14,6 @@ from tiltwall.lattice import (
     central_charge,
     chd_polynomial,
     class_add,
-    class_sub,
     discriminant,
     line_bundle_class,
     mu_slope,
@@ -84,7 +83,6 @@ class TestChernClass:
     def test_involutions(self):
         v = ChernClass(2, -4, F(7, 2))
         assert class_add(v, ChernClass(-2, 4, F(-7, 2))) == ChernClass(0, 0, 0)
-        assert class_sub(v, v) == ChernClass(0, 0, 0)
 
 
 class TestTwistAndDiscriminant:

@@ -12,7 +12,6 @@ from tiltwall.lattice import (
     ChernClass,
     LatticeError,
     SurfaceConfig,
-    class_sub,
     discriminant,
     line_bundle_class,
     mu_slope,
@@ -38,6 +37,7 @@ from conftest import (
 )
 from walls_oracle import (
     brute_force_candidates,
+    class_sub,
     fraction_candidate_pairs_for_w0,
     loose_w0_bound,
     wall_height_bound,
@@ -416,21 +416,25 @@ class TestCrossingHeightWindow:
         assert screened == 108
 
 
+# a lattice whose v2 reduces to denominators 3, 5, 6, 10, 15 and 30 as well
+THIRTIETHS = SurfaceConfig(2, 2, 2, 30, 4, name="thirtieths")
+
+
 @st.composite
-def integer_window_queries(draw):
+def integer_window_queries(draw, on_lattice=False):
     """(cfg, v, beta*, a_min, a_max) for the integer search against its Fraction form.
 
-    v lies on cfg's lattice; beta* has denominator 1, 2, 3 or 7, so it need
-    not divide v2_denominator, and v2 = k/v2_denominator reduces to
-    denominator 1 or 2; v0 is negative, zero or positive, and a_max is
-    often None.
+    beta* has denominator 1, 2, 3 or 7, so it need not divide v2_denominator;
+    v0 is negative, zero or positive, and a_max is often None.  v2 has
+    denominator 1, 2, 3 or 5, which need not divide v2_denominator either,
+    unless on_lattice, when v2 = k/v2_denominator.
     """
-    cfg = SurfaceConfig.preset(draw(st.sampled_from(["ppas", "abelian-(1,2)"])))
+    cfg = draw(st.sampled_from([PPAS, ABELIAN, THIRTIETHS]))
     v0 = cfg.v0_step * draw(st.sampled_from([-1, 0, 1]))
     beta = F(draw(st.integers(-21, 21)), draw(st.sampled_from([1, 2, 3, 7])))
     # the least multiple of v1_step above beta*v0 keeps ch1^beta*(v) > 0
     v1 = cfg.v1_step * ((beta * v0) // cfg.v1_step + draw(st.integers(1, 6)))
-    dd = cfg.v2_denominator
+    dd = cfg.v2_denominator if on_lattice else draw(st.sampled_from([1, 2, 3, 5]))
     if v0 == 0:
         v2 = F(draw(st.integers(-60, 60)), dd)
     else:
@@ -455,7 +459,8 @@ class TestIntegerWindow:
     values of t, g, the half-line thresholds and the w2 bounds, and screens
     every point with ``discriminant`` and ``wall_between``; for every rank
     in the ``_w0_bound`` window the library must return, in the same order,
-    exactly the oracle's survivors w with w < v - w.
+    exactly the oracle's survivors w with w < v - w, on cfg's lattice or
+    off it.
     """
 
     @staticmethod
@@ -485,11 +490,12 @@ class TestIntegerWindow:
     def test_same_pairs_as_fraction_form(self, query):
         self.assert_same_pairs(*query)
 
-    @given(integer_window_queries())
+    @given(integer_window_queries(on_lattice=True))
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
     )
     @example((PPAS, ChernClass(2, 0, -25), F(-6), F(1, 100), F(30)))
+    @example((THIRTIETHS, ChernClass(2, 0, F(-26, 3)), F(-2), F(1, 50), None))
     def test_oracle_survivors_pair_up(self, query):
         # the proof in ``enumerate_candidates``: on the lattice the survivors
         # of the whole rank window are closed under w -> v - w, each once
@@ -517,6 +523,9 @@ class TestIntegerWindow:
             # v2 of denominator 2 = v2_denominator, and 1 below it
             (PPAS, ChernClass(2, 0, F(-17, 2)), F(-2), F(1, 50), None),
             (ABELIAN, ChernClass(-4, 4, 7), F(2, 7), F(1, 50), None),
+            # v2 of denominators 3 and 5 on a lattice of denominator 30
+            (THIRTIETHS, ChernClass(2, 0, F(-26, 3)), F(-2), F(1, 50), None),
+            (THIRTIETHS, ChernClass(-2, 2, F(36, 5)), F(2, 7), F(1, 50), None),
         ],
     )
     def test_fixed_queries_keep_candidates(self, cfg, v, beta, a_min, a_max):

@@ -18,8 +18,13 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from tiltwall.lattice import ChernClass, SurfaceConfig, class_sub, discriminant, twist
+from tiltwall.lattice import ChernClass, SurfaceConfig, discriminant, twist
 from tiltwall.walls import Semicircle, WallCandidate, wall_a_at, wall_between
+
+
+def class_sub(v: ChernClass, w: ChernClass) -> ChernClass:
+    """v - w; the library pairs w with v - w without building it."""
+    return ChernClass(v.v0 - w.v0, v.v1 - w.v1, v.v2 - w.v2)
 
 
 def _sqrt_ceil(q: Fraction) -> int:
