@@ -283,7 +283,7 @@ def _walk(tree: HNTree) -> ValidationReport:
                 )
         if isinstance(parent_wall, Semicircle) and isinstance(node.wall, Semicircle):
             rel = nesting(node.wall, parent_wall)
-            if not (rel.relation is Nesting.NESTED and rel.inner == node.wall):
+            if not (rel is Nesting.NESTED and node.wall.radius_sq < parent_wall.radius_sq):
                 violations.append(
                     f"{path}: wall {node.wall} is not strictly nested inside {parent_wall}"
                 )

@@ -22,25 +22,27 @@ the discriminant spectrum: each w in it has a semicircular wall crossing
 the segment, a discriminant drop disc(w) + disc(v - w) < disc(v), and stays
 in the heart at the top of its wall, so ``_screen_candidate`` tests only
 that both discriminants are 0 or multiples of the minimal discriminant
-(``_candidate_pairs_for_w0``, whose docstring has the proofs).
+(``_kept_candidates``, whose docstring has the proofs).
 
 The search inside the rank window is integer arithmetic.  With beta* = p/q
 and v2 = n/d, each (w0, w1) gets integer half-line thresholds and w2 bounds,
 compared by cross-multiplication and rounded with floor division; the
 spectrum test is two congruences on scaled discriminants.  The survivors
 come in pairs {w, v - w} with one wall; the search keeps the smaller member
-of each pair, as the only class it builds, and ``enumerate_candidates``
-groups the kept classes by ``wall_between`` and takes each wall's crossing
-height from ``wall_a_at``.
+of each pair, as the only class it builds, and as the smaller member has
+2*w0 <= v0 its rank loop stops at v0 // 2.  ``_kept_candidates`` is that
+search, one generator over w0, w1 and w2; ``enumerate_candidates`` checks
+the query, groups the kept classes by ``wall_between`` and takes each
+wall's crossing height from ``wall_a_at``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .exactnum import format_rational, parse_rational
 from .lattice import (
@@ -144,47 +146,45 @@ class Nesting(Enum):
     CROSSING = "crossing"
 
 
-@dataclass(frozen=True)
-class NestingResult:
-    relation: Nesting
-    inner: Optional[Semicircle] = None
-    outer: Optional[Semicircle] = None
-
-
-def nesting(w1: NumericalWall, w2: NumericalWall) -> NestingResult:
+def nesting(w1: NumericalWall, w2: NumericalWall) -> Nesting:
     """Exact containment classification of two semicircles, radical-free.
 
     Compares the squared center distance D against (r1 +- r2)^2 via
     A = D - r1^2 - r2^2 and the sign/square of A, avoiding square roots.
+    NESTED means that one semicircle lies strictly inside the other; the
+    inner one is the one of smaller radius (equal radii are never NESTED).
     """
     if not isinstance(w1, Semicircle) or not isinstance(w2, Semicircle):
         raise ValueError("nesting is defined for semicircular walls only")
     if w1 == w2:
-        return NestingResult(Nesting.EQUAL)
+        return Nesting.EQUAL
     dist_sq = (w1.center - w2.center) ** 2
     a = dist_sq - w1.radius_sq - w2.radius_sq
     cross_term = 4 * w1.radius_sq * w2.radius_sq
     if a > 0 and a * a > cross_term:
-        return NestingResult(Nesting.DISJOINT)
+        return Nesting.DISJOINT
     if a < 0 and a * a > cross_term:
-        inner, outer = (w1, w2) if w1.radius_sq < w2.radius_sq else (w2, w1)
-        return NestingResult(Nesting.NESTED, inner=inner, outer=outer)
-    return NestingResult(Nesting.CROSSING)
+        return Nesting.NESTED
+    return Nesting.CROSSING
 
 
 @dataclass(frozen=True)
 class WallCandidate:
     wall: Semicircle
-    witness: ChernClass
     cross_a: Fraction
-    witnesses: tuple[ChernClass, ...] = field(default=(), compare=False)
+    witnesses: tuple[ChernClass, ...]
+
+    @property
+    def witness(self) -> ChernClass:
+        """The primary witness: the first, so the smallest, of the witnesses."""
+        return self.witnesses[0]
 
 
 def _w0_bound(v: ChernClass, beta_star: Fraction, a_min: Fraction) -> int:
     """Largest |w0| of any candidate crossing the segment (exact, complete).
 
     The window is [min(0, v0) - d, max(0, v0) + d] with d = bound - |v0|;
-    every kept candidate (as defined in ``_candidate_pairs_for_w0``) has its
+    every kept candidate (as defined in ``_kept_candidates``) has its
     rank in it.
 
     Proof.  Write t_v = ch1^b(v) > 0 and c = ch2^b(v) at b = beta*, and for a
@@ -237,20 +237,20 @@ def _w0_bound(v: ChernClass, beta_star: Fraction, a_min: Fraction) -> int:
     return m + (math.isqrt(4 * floor_c + m * m) - m) // 2
 
 
-def _candidate_pairs_for_w0(
+def _kept_candidates(
     v: ChernClass,
     beta_star: Fraction,
     a_min: Fraction,
     a_max: Optional[Fraction],
     cfg: SurfaceConfig,
-    w0: int,
-) -> list[ChernClass]:
-    """Kept candidates w of rank w0 with w < v - w, in the order visited.
+) -> Iterator[ChernClass]:
+    """Kept candidates w with w < v - w, in lexicographic order.
 
-    w2 runs over a crossing-height window, and w < v - w is the
-    lexicographic order of the triples; ``enumerate_candidates`` proves
-    that on cfg's lattice this keeps exactly one member of each pair
-    {w, v - w} of kept candidates.
+    w0 runs over the rank window of ``_w0_bound`` up to v0 // 2, w1 over
+    0 < ch1^beta*(w) <= ch1^beta*(v) and w2 over a crossing-height window,
+    each ascending, and w < v - w is the lexicographic order of the
+    triples; ``enumerate_candidates`` proves that on cfg's lattice this
+    yields exactly one member of each pair {w, v - w} of kept candidates.
 
     A candidate w is kept when 0 < ch1^beta*(w) <= ch1^beta*(v), its wall
     with v is a semicircle that meets beta = beta* at a height in
@@ -258,8 +258,8 @@ def _candidate_pairs_for_w0(
     the heart at the top of the wall (0 < ch1^center(w) <= ch1^center(v)),
     disc(w) and disc(v - w) lie in the discriminant spectrum (0 or a
     multiple of the minimal discriminant, so in particular >= 0), and
-    disc(w) + disc(v - w) <= disc(v).  Every kept candidate of rank w0 lies
-    in the window, and every w in the window meets all of these conditions
+    disc(w) + disc(v - w) <= disc(v).  Every kept candidate lies in the w2
+    window of its (w0, w1), and every w in it meets all of these conditions
     but the spectrum, which is the one test ``_screen_candidate`` makes.
     The sum condition holds strictly (part 2), so asking for < instead of
     <= would change nothing.
@@ -380,55 +380,61 @@ def _candidate_pairs_for_w0(
     The pair filter.  w < v - w compares (w0, w1, w2) with
     (v0 - w0, v1 - w1, v2 - w2), that is (2*w0, 2*w1, 2*w2) with
     (v0, v1, v2); with w2 = k/den and v2 = n/d the last entries compare as
-    2*d*k against den*n.  Everything above is integer arithmetic until the
-    kept class's w2 = k/den.
+    2*d*k against den*n.  The first entries come first, so no w with
+    2*w0 > v0 passes: the rank loop stops at v0 // 2.  It starts at the
+    least multiple of v0_step in the window [max(0, v0) - B, min(0, v0) + B]
+    of ``_w0_bound`` (B its value, so that B - |v0| is the d there), and
+    v0 // 2 <= max(0, v0) <= min(0, v0) + B lies in that window.  Everything
+    above is integer arithmetic until the kept class's w2 = k/den.
     """
     p, q = beta_star.numerator, beta_star.denominator
     n, d = v.v2.numerator, v.v2.denominator
     v0, v1 = v.v0, v.v1
-    den, step = cfg.v2_denominator, cfg.v1_step
-    u0 = v0 - w0
+    den, step, r = cfg.v2_denominator, cfg.v1_step, cfg.v0_step
     T_v = q * v1 - p * v0
     C = 2 * q * q * n - 2 * d * p * q * v1 + d * p * p * v0
     K = 2 * d * q * q
     M = d * den
     mod_w, mod_u = den * cfg.minimal_discriminant, M * cfg.minimal_discriminant
-    pw0 = p * w0
-    out = []
-    # w1 runs over multiples of v1_step with 0 < T = q*w1 - p*w0 <= T_v
-    for w1 in range((pw0 // (q * step) + 1) * step, (pw0 + T_v) // q + 1, step):
-        T = q * w1 - pw0
-        G = w0 * T_v - T * v0
-        if G == 0:
-            continue
-        S = T_v - T
-        # a_lo and a_hi as (numerator, denominator > 0); a_hi None is +inf
-        lo = (a_min.numerator, a_min.denominator)
-        hi = None if a_max is None else (a_max.numerator, a_max.denominator)
-        for alpha, sigma in (
-            (T * (d * T * T_v - w0 * C), -K * w0 * G),
-            (S * (d * S * T_v - u0 * C), K * u0 * G),
-        ):
-            if sigma > 0:
-                if -alpha * lo[1] > lo[0] * sigma:
-                    lo = (-alpha, sigma)
-            elif sigma < 0:
-                if hi is None or alpha * hi[1] < hi[0] * -sigma:
-                    hi = (alpha, -sigma)
-        if lo[0] * hi[1] > hi[0] * lo[1]:  # hi is finite by part 4
-            continue
-        H = T * C + d * T_v * p * (q * w1 + T)
-        first, last = (lo, hi) if G > 0 else (hi, lo)
-        k_lo = -(-den * (H * first[1] + K * G * first[0]) // (K * T_v * first[1]))
-        k_hi = den * (H * last[1] + K * G * last[0]) // (K * T_v * last[1])
-        disc_w1 = den * w1 * w1
-        disc_u1 = M * (v1 - w1) ** 2 - 2 * u0 * den * n
-        for k in range(k_lo, k_hi + 1):
-            if not _screen_candidate(disc_w1 - 2 * w0 * k, disc_u1 + 2 * u0 * d * k, mod_w, mod_u):
+    bound = _w0_bound(v, beta_star, a_min)
+    # w0 runs over multiples of v0_step from the window's lower end up to v0 // 2
+    for w0 in range(-((bound - max(0, v0)) // r) * r, v0 // 2 + 1, r):
+        u0 = v0 - w0
+        pw0 = p * w0
+        # w1 runs over multiples of v1_step with 0 < T = q*w1 - p*w0 <= T_v
+        for w1 in range((pw0 // (q * step) + 1) * step, (pw0 + T_v) // q + 1, step):
+            T = q * w1 - pw0
+            G = w0 * T_v - T * v0
+            if G == 0:
                 continue
-            if (2 * w0, 2 * w1, 2 * d * k) < (v0, v1, den * n):
-                out.append(ChernClass(w0, w1, Fraction(k, den)))
-    return out
+            S = T_v - T
+            # a_lo and a_hi as (numerator, denominator > 0); a_hi None is +inf
+            lo = (a_min.numerator, a_min.denominator)
+            hi = None if a_max is None else (a_max.numerator, a_max.denominator)
+            for alpha, sigma in (
+                (T * (d * T * T_v - w0 * C), -K * w0 * G),
+                (S * (d * S * T_v - u0 * C), K * u0 * G),
+            ):
+                if sigma > 0:
+                    if -alpha * lo[1] > lo[0] * sigma:
+                        lo = (-alpha, sigma)
+                elif sigma < 0:
+                    if hi is None or alpha * hi[1] < hi[0] * -sigma:
+                        hi = (alpha, -sigma)
+            if lo[0] * hi[1] > hi[0] * lo[1]:  # hi is finite by part 4
+                continue
+            H = T * C + d * T_v * p * (q * w1 + T)
+            first, last = (lo, hi) if G > 0 else (hi, lo)
+            k_lo = -(-den * (H * first[1] + K * G * first[0]) // (K * T_v * first[1]))
+            k_hi = den * (H * last[1] + K * G * last[0]) // (K * T_v * last[1])
+            disc_w1 = den * w1 * w1
+            disc_u1 = M * (v1 - w1) ** 2 - 2 * u0 * den * n
+            for k in range(k_lo, k_hi + 1):
+                disc_w, disc_u = disc_w1 - 2 * w0 * k, disc_u1 + 2 * u0 * d * k
+                if not _screen_candidate(disc_w, disc_u, mod_w, mod_u):
+                    continue
+                if (2 * w0, 2 * w1, 2 * d * k) < (v0, v1, den * n):
+                    yield ChernClass(w0, w1, Fraction(k, den))
 
 
 def _screen_candidate(disc_w: int, disc_u: int, mod_w: int, mod_u: int) -> bool:
@@ -436,7 +442,7 @@ def _screen_candidate(disc_w: int, disc_u: int, mod_w: int, mod_u: int) -> bool:
 
     The arguments are the scaled discriminants den*disc(w) and
     d*den*disc(v - w) and their moduli den*m and d*den*m (notation of
-    ``_candidate_pairs_for_w0``, whose docstring has the proofs).  This is
+    ``_kept_candidates``, whose docstring has the proofs).  This is
     the one test the crossing-height window cannot make: every w that
     reaches it already has a semicircular wall crossing the segment,
     disc(w) >= 0 and disc(v - w) >= 0 with a sum below disc(v), and stays
@@ -454,9 +460,9 @@ def enumerate_candidates(
 ) -> list[WallCandidate]:
     """All candidate walls for v crossing {beta = beta*, a in [a_min, a_max]}.
 
-    The candidates are the kept ones defined in ``_candidate_pairs_for_w0``.
+    The candidates are the kept ones defined in ``_kept_candidates``.
     Without a_max the search covers the whole half-line a >= a_min; it is
-    finite all the same (see ``_candidate_pairs_for_w0``).  v must lie on
+    finite all the same (see ``_kept_candidates``).  v must lie on
     cfg's lattice (``SurfaceConfig.check_class``; LatticeError otherwise).
 
     Each wall comes once, with its witnesses: the smaller member, in the
@@ -468,12 +474,10 @@ def enumerate_candidates(
     Proof that the search returns exactly these witnesses.  Let w be kept
     and u = v - w.  u is kept too:
 
-    - u is on the lattice and visited at the rank u0: v is on the lattice,
-      so u0, u1 and den*u2 are multiples of v0_step, v1_step and 1 as those
-      of w are, and the rank window [min(0, v0) - d, max(0, v0) + d] is
-      symmetric under x -> v0 - x (its ends add up to v0).
+    - u is on the lattice: v is, so u0, u1 and den*u2 are multiples of
+      v0_step, v1_step and 1 as those of w are.
     - 0 < ch1^beta*(u) <= ch1^beta*(v): ch1^beta*(u) = S/q, and S > 0 by
-      part 2 of ``_candidate_pairs_for_w0`` while S = T_v - T < T_v.
+      part 2 of ``_kept_candidates`` while S = T_v - T < T_v.
     - Every other condition of a kept candidate is symmetric in w and u:
       ``wall_between(v, u)`` is the wall of w (the equal-slope locus of v
       and u is that of v and w), so is its height at beta*, the heart at
@@ -483,12 +487,16 @@ def enumerate_candidates(
     And u != w: 2w = v would give u0 = w0 and S = T, so G = w0*S - u0*T =
     0, which no kept candidate has.  So the kept candidates fall into
     pairs {w, v - w} with one wall, and w < v - w keeps one member of each,
-    the smaller.  The loops visit (w0, w1, k) in ascending order (w0 here,
-    w1 and k in ``_candidate_pairs_for_w0``) and w2 = k/den, so the kept
-    classes arrive in lexicographic order, and grouping them by wall in
-    that order lists each wall's witnesses ascending.  Off the lattice u
-    may never be visited (v2 = -26/3 on ppas gives u2 of denominator 6),
-    so the pair filter would lose walls: hence the lattice check.
+    the smaller.  That member has 2*w0 <= v0, as the comparison looks at
+    2*w0 against v0 first, and its rank lies in the window of ``_w0_bound``
+    as the rank of every kept candidate does; so the rank loop of
+    ``_kept_candidates``, which runs over that window up to v0 // 2, visits
+    it.  The loops visit (w0, w1, k) in ascending order and w2 = k/den, so
+    the kept classes arrive in lexicographic order, and grouping them by
+    wall in that order lists each wall's witnesses ascending.  Off the
+    lattice u may never be visited (v2 = -26/3 on ppas gives u2 of
+    denominator 6), so the pair filter would lose walls: hence the lattice
+    check.
     """
     if cfg is None:
         cfg = SurfaceConfig.preset("ppas")
@@ -507,15 +515,11 @@ def enumerate_candidates(
     if v.v1 - beta_star * v.v0 <= 0:
         raise ValueError("class is not in the heart at beta_star (nonpositive twisted degree)")
 
-    d = _w0_bound(v, beta_star, a_min) - abs(v.v0)
     groups: dict[Semicircle, list[ChernClass]] = {}
-    for w0 in range(min(0, v.v0) - d, max(0, v.v0) + d + 1):
-        if w0 % cfg.v0_step == 0:
-            for w in _candidate_pairs_for_w0(v, beta_star, a_min, a_max, cfg, w0):
-                groups.setdefault(wall_between(v, w), []).append(w)
+    for w in _kept_candidates(v, beta_star, a_min, a_max, cfg):
+        groups.setdefault(wall_between(v, w), []).append(w)
     result = [
-        WallCandidate(wall, ws[0], wall_a_at(wall, beta_star), witnesses=tuple(ws))
-        for wall, ws in groups.items()
+        WallCandidate(wall, wall_a_at(wall, beta_star), tuple(ws)) for wall, ws in groups.items()
     ]
     result.sort(key=lambda c: (-c.cross_a, c.wall.center))
     return result

@@ -251,7 +251,7 @@ def _split(rng, v, cfg, beta, parent_wall, depth):
     if parent_wall is not None:
         cands = [
             c for c in cands
-            if nesting(c.wall, parent_wall).relation is Nesting.NESTED
+            if nesting(c.wall, parent_wall) is Nesting.NESTED
             and c.wall.radius_sq < parent_wall.radius_sq
         ]
     if not cands:

@@ -70,8 +70,8 @@ MUTANTS = [
     Mutant(
         name="nesting without its inner clause",
         module="hntree",
-        old="if not (rel.relation is Nesting.NESTED and rel.inner == node.wall):",
-        new="if not rel.relation is Nesting.NESTED:",
+        old=" and node.wall.radius_sq < parent_wall.radius_sq):",
+        new="):",
         breaks="a node's wall lies strictly inside its parent's wall, not around it",
         killed_by="tests/test_hntree.py::TestValidation::test_inner_wall_must_nest",
     ),
@@ -293,7 +293,7 @@ MUTANTS = [
         old="return disc_w % mod_w == 0 and disc_u % mod_u == 0",
         new="return disc_w % mod_w == 0",
         breaks="disc(v - w) is 0 or a multiple of the minimal discriminant "
-        "(the screen of `_candidate_pairs_for_w0`)",
+        "(the screen of `_kept_candidates`)",
         killed_by=INTEGER_WINDOW,
     ),
     Mutant(
@@ -302,7 +302,7 @@ MUTANTS = [
         old="return disc_w % mod_w == 0 and disc_u % mod_u == 0",
         new="return disc_u % mod_u == 0",
         breaks="disc(w) is 0 or a multiple of the minimal discriminant "
-        "(the screen of `_candidate_pairs_for_w0`)",
+        "(the screen of `_kept_candidates`)",
         killed_by=INTEGER_WINDOW,
     ),
     Mutant(
@@ -310,7 +310,7 @@ MUTANTS = [
         module="walls",
         old="k_lo = -(-den * (H * first[1] + K * G * first[0]) // (K * T_v * first[1]))",
         new="k_lo = den * (H * first[1] + K * G * first[0]) // (K * T_v * first[1])",
-        breaks="w2 = k/den starts at ceil(den*e1) (the window of `_candidate_pairs_for_w0`)",
+        breaks="w2 = k/den starts at ceil(den*e1) (the window of `_kept_candidates`)",
         killed_by=INTEGER_WINDOW,
     ),
     Mutant(
@@ -318,7 +318,7 @@ MUTANTS = [
         module="walls",
         old="for k in range(k_lo, k_hi + 1):",
         new="for k in range(k_lo, k_hi + 2):",
-        breaks="w2 = k/den ends at floor(den*e2) (the window of `_candidate_pairs_for_w0`)",
+        breaks="w2 = k/den ends at floor(den*e2) (the window of `_kept_candidates`)",
         killed_by=INTEGER_WINDOW,
     ),
     Mutant(
@@ -326,7 +326,7 @@ MUTANTS = [
         module="walls",
         old="for k in range(k_lo, k_hi + 1):",
         new="for k in range(k_lo + 1, k_hi + 1):",
-        breaks="w2 = k/den starts at ceil(den*e1) (the window of `_candidate_pairs_for_w0`)",
+        breaks="w2 = k/den starts at ceil(den*e1) (the window of `_kept_candidates`)",
         killed_by=INTEGER_WINDOW,
     ),
     Mutant(
@@ -335,7 +335,7 @@ MUTANTS = [
         old="mod_w, mod_u = den * cfg.minimal_discriminant, M * cfg.minimal_discriminant",
         new="mod_w, mod_u = den * cfg.minimal_discriminant, den * cfg.minimal_discriminant",
         breaks="d*den*disc(v - w) is a multiple of d*den*m exactly when disc(v - w) "
-        "is a multiple of m (the screen of `_candidate_pairs_for_w0`)",
+        "is a multiple of m (the screen of `_kept_candidates`)",
         killed_by=INTEGER_WINDOW,
     ),
     Mutant(
@@ -354,6 +354,15 @@ MUTANTS = [
         new="if (2 * w0, 2 * w1, 2 * d * k) > (v0, v1, den * n):",
         breaks="the witness of a pair {w, v - w} is the lexicographically smaller "
         "member (proof in `enumerate_candidates`)",
+        killed_by=BRUTE_FORCE,
+    ),
+    Mutant(
+        name="rank loop ends one step early",
+        module="walls",
+        old="v0 // 2 + 1, r):",
+        new="v0 // 2 + 1 - r, r):",
+        breaks="the smaller member of a pair {w, v - w} has 2*w0 <= v0, so the rank "
+        "loop runs up to v0 // 2 and no further (proof in `enumerate_candidates`)",
         killed_by=BRUTE_FORCE,
     ),
     Mutant(

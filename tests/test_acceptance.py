@@ -195,7 +195,7 @@ def test_criterion_6_identity_suites():
     assert len(cands) >= 10
     for i in range(len(cands)):
         for j in range(i + 1, len(cands)):
-            assert nesting(cands[i].wall, cands[j].wall).relation is Nesting.NESTED
+            assert nesting(cands[i].wall, cands[j].wall) is Nesting.NESTED
 
     # slope monotonicity of HN factors at 50 random off-wall points per tree
     for scenario in trees:

@@ -21,7 +21,7 @@ from tiltwall.walls import (
     Nesting,
     Semicircle,
     VerticalWall,
-    _candidate_pairs_for_w0,
+    _kept_candidates,
     _w0_bound,
     enumerate_candidates,
     nesting,
@@ -158,32 +158,30 @@ class TestWallGeometry:
 class TestNesting:
     def test_concentric(self):
         r = nesting(Semicircle(F(-5, 2), F(5, 4)), Semicircle(F(-5, 2), F(1, 4)))
-        assert r.relation is Nesting.NESTED
-        assert r.inner == Semicircle(F(-5, 2), F(1, 4))
+        assert r is Nesting.NESTED
 
     def test_offset_nested(self):
         r = nesting(Semicircle(F(-3), F(4)), Semicircle(F(-7, 3), F(4, 9)))
-        assert r.relation is Nesting.NESTED
-        assert r.inner == Semicircle(F(-7, 3), F(4, 9))
+        assert r is Nesting.NESTED
 
     def test_equal(self):
         w = Semicircle(F(-3), F(4))
-        assert nesting(w, w).relation is Nesting.EQUAL
+        assert nesting(w, w) is Nesting.EQUAL
 
     def test_disjoint_and_crossing(self):
         assert (
-            nesting(Semicircle(F(0), F(1)), Semicircle(F(10), F(1))).relation
+            nesting(Semicircle(F(0), F(1)), Semicircle(F(10), F(1)))
             is Nesting.DISJOINT
         )
         assert (
-            nesting(Semicircle(F(0), F(4)), Semicircle(F(2), F(4))).relation
+            nesting(Semicircle(F(0), F(4)), Semicircle(F(2), F(4)))
             is Nesting.CROSSING
         )
 
     def test_tangent_counts_as_crossing(self):
         # internally tangent at beta = 3: treated as non-strict, hence crossing
         r = nesting(Semicircle(F(0), F(9)), Semicircle(F(2), F(1)))
-        assert r.relation is Nesting.CROSSING
+        assert r is Nesting.CROSSING
 
     def test_vertical_rejected(self):
         with pytest.raises(ValueError):
@@ -234,8 +232,7 @@ class TestEnumeration:
         cands = enumerate_candidates(ChernClass(2, 0, -25), F(-6), F(1, 100), F(30))
         for i in range(len(cands)):
             for j in range(i + 1, len(cands)):
-                rel = nesting(cands[i].wall, cands[j].wall)
-                assert rel.relation is Nesting.NESTED
+                assert nesting(cands[i].wall, cands[j].wall) is Nesting.NESTED
 
     def test_random_classes_never_crash(self):
         rng = random.Random(7)
@@ -316,6 +313,8 @@ class TestRankWindow:
     @example((ABELIAN, ChernClass(-4, -8, 3), F(7, 2), F(1, 15), None, False))
     @example((ABELIAN, ChernClass(0, 8, 0), F(0), F(1, 20), F(5), True))
     @example((PPAS, ChernClass(0, 4, -8), F(-2), F(1, 20), None, False))
+    # one wall whose witness (2, -2, 1) has the middle rank 2*w0 = v0
+    @example((PPAS, ChernClass(4, -2, -2), F(-5, 2), F(1, 50), None, False))
     def test_matches_brute_force(self, query):
         cfg, v, beta, a_min, a_max, strict = query
         fast = enumerate_candidates(v, beta, a_min, a_max, cfg)
@@ -413,7 +412,7 @@ class TestCrossingHeightWindow:
         cands = enumerate_candidates(ChernClass(2, 0, -25), F(-6), a_min, F(30))
         assert len(cands) == 22
         assert sum(len(c.witnesses) for c in cands) == 28
-        assert screened == 108
+        assert screened == 54
 
 
 # a lattice whose v2 reduces to denominators 3, 5, 6, 10, 15 and 30 as well
@@ -453,14 +452,15 @@ def _lex(c: ChernClass) -> tuple:
 
 
 class TestIntegerWindow:
-    """``_candidate_pairs_for_w0`` in integers against its Fraction form.
+    """``_kept_candidates`` in integers against its Fraction form.
 
     The oracle in ``walls_oracle`` computes the same window from Fraction
     values of t, g, the half-line thresholds and the w2 bounds, and screens
-    every point with ``discriminant`` and ``wall_between``; for every rank
-    in the ``_w0_bound`` window the library must return, in the same order,
-    exactly the oracle's survivors w with w < v - w, on cfg's lattice or
-    off it.
+    every point with ``discriminant`` and ``wall_between``.  It walks every
+    rank of the ``_w0_bound`` window, and the library must return, in the
+    same order, exactly the oracle's survivors w with w < v - w, on cfg's
+    lattice or off it; so the library's rank loop, which stops at v0 // 2,
+    is checked here and not assumed.
     """
 
     @staticmethod
@@ -475,13 +475,13 @@ class TestIntegerWindow:
                 if w0 % cfg.v0_step == 0]
 
     def assert_same_pairs(self, cfg, v, beta, a_min, a_max):
-        kept = 0
-        for w0 in self.ranks(cfg, v, beta, a_min):
-            fast = _candidate_pairs_for_w0(v, beta, a_min, a_max, cfg, w0)
-            slow = self.oracle_classes(cfg, v, beta, a_min, a_max, w0)
-            assert fast == [w for w in slow if _lex(w) < _lex(class_sub(v, w))], w0
-            kept += len(fast)
-        return kept
+        fast = list(_kept_candidates(v, beta, a_min, a_max, cfg))
+        slow = [
+            w for w0 in self.ranks(cfg, v, beta, a_min)
+            for w in self.oracle_classes(cfg, v, beta, a_min, a_max, w0)
+        ]
+        assert fast == [w for w in slow if _lex(w) < _lex(class_sub(v, w))]
+        return len(fast)
 
     @given(integer_window_queries())
     @settings(
@@ -513,6 +513,8 @@ class TestIntegerWindow:
             # the disc-100 probe, with and without a top
             (PPAS, ChernClass(2, 0, -25), F(-6), F(1, 100), F(30)),
             (PPAS, ChernClass(2, 0, -25), F(-6), F(1, 1000), None),
+            # a witness of the middle rank 2*w0 = v0
+            (PPAS, ChernClass(4, -2, -2), F(-5, 2), F(1, 50), None),
             # beta* with denominators 2, 3 and 7
             (PPAS, ChernClass(2, 8, F(-51, 2)), F(-39, 2), F(1, 100), None),
             (PPAS, ChernClass(4, 2, -10), F(-4, 3), F(1, 50), None),
@@ -535,7 +537,7 @@ class TestIntegerWindow:
 class TestWindowDecides:
     """The checks the window makes, so that the screen need not.
 
-    ``walls._candidate_pairs_for_w0`` proves each of them; here every
+    ``walls._kept_candidates`` proves each of them; here every
     witness of every returned wall is held to them.
     """
 

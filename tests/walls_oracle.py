@@ -8,8 +8,8 @@ change to the library's search cannot silently change the oracle.  The
 oracle always searches a bounded segment; ``wall_height_bound`` gives a top
 that covers every wall, for comparison with the library's unbounded search.
 
-``fraction_candidate_pairs_for_w0`` is the library's per-rank search as it
-was in Fraction arithmetic: the oracle for its integer form.
+``fraction_candidate_pairs_for_w0`` is the library's search for one rank
+as it was in Fraction arithmetic: the oracle for its integer form.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def brute_force_candidates(v, beta_star, a_min, a_max, cfg=None, strict=False):
     result = []
     for wall, (cross_a, witnesses) in groups.items():
         ordered = tuple(sorted(witnesses, key=lambda c: (c.v0, c.v1, c.v2)))
-        result.append(WallCandidate(wall, ordered[0], cross_a, witnesses=ordered))
+        result.append(WallCandidate(wall, cross_a, ordered))
     result.sort(key=lambda c: (-c.cross_a, c.wall.center))
     return result
 
@@ -153,9 +153,10 @@ def fraction_candidate_pairs_for_w0(
     cfg: SurfaceConfig,
     w0: int,
 ) -> list[tuple[Semicircle, ChernClass, Fraction]]:
-    """``walls._candidate_pairs_for_w0`` as it was in Fraction arithmetic.
+    """The rank-w0 part of ``walls._kept_candidates`` in Fraction arithmetic.
 
-    Same contract, with a_max = math.inf for a query without a top.  The
+    Same contract for that rank, but every survivor is returned, not only
+    those with w < v - w, and a_max = math.inf for a query without a top.  The
     window is the same one (its proofs are in the library's docstring),
     computed here from Fraction values of t, g, the two half-line
     thresholds and the w2 bounds, and every point of it goes through
