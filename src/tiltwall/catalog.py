@@ -19,7 +19,7 @@ from typing import Optional
 
 from .exactnum import QuadPoly, QuadraticIrrational
 from .hntree import HNTree, PiecewiseQuadratic, TreeLeaf, TreeNode, validate_tree
-from .lattice import ChernClass, SurfaceConfig, discriminant, line_bundle_class, mu_slope, twist
+from .lattice import ChernClass, SurfaceConfig, discriminant, line_bundle_class, mu_slope
 from .walls import Semicircle, enumerate_candidates, wall_a_at
 
 QI = QuadraticIrrational
@@ -310,18 +310,33 @@ def _crosses_exactly_along(v: ChernClass, w: ChernClass, wall: Semicircle) -> bo
     E - (D/2)*G has degree at most 3 in beta and at most 1 in a, so it is
     zero iff it vanishes at four values of beta for each of two values of a.
     (Its beta^3, beta^2 and a terms cancel identically, so fewer would do.)
-    E comes from ``twist``, independently of the formula in
-    ``walls.wall_between``.
+
+    The test is in integers, at beta in {0, 1, 2, 3} and a in {0, 1}.  With
+    v2 = n/q, w2 = m/r, center = cn/cd and radius_sq = rn/rd, put
+    L_v = v1 - beta*v0 = ch1^beta(v) and P_v = 2*n - 2*q*beta*v1 +
+    q*beta^2*v0 = 2*q*ch2^beta(v), and L_w, P_w alike with m/r.  Then
+
+        2*q*r*E = (r*P_v - 2*q*r*a*v0)*L_w - (q*P_w - 2*q*r*a*w0)*L_v,
+        cd^2*rd*G = (beta*cd - cn)^2*rd + 2*a*cd^2*rd - rn*cd^2,
+
+    and E = (D/2)*G reads 2*q*r*E*cd^2*rd = q*r*D*(cd^2*rd*G).  E comes from
+    the classes alone, independently of the formula in ``walls.wall_between``.
     """
     d = w.v0 * v.v1 - v.v0 * w.v1
     if d == 0:
         return False
+    n, q = v.v2.numerator, v.v2.denominator
+    m, r = w.v2.numerator, w.v2.denominator
+    cn, cd = wall.center.numerator, wall.center.denominator
+    rn, rd = wall.radius_sq.numerator, wall.radius_sq.denominator
     for beta in range(4):
-        tv, tw = twist(v, beta), twist(w, beta)
+        l_v, l_w = v.v1 - beta * v.v0, w.v1 - beta * w.v0
+        p_v = 2 * n - 2 * q * beta * v.v1 + q * beta * beta * v.v0
+        p_w = 2 * m - 2 * r * beta * w.v1 + r * beta * beta * w.v0
         for a in range(2):
-            e = (tv.t2 - a * tv.t0) * tw.t1 - (tw.t2 - a * tw.t0) * tv.t1
-            g = (beta - wall.center) ** 2 + 2 * a - wall.radius_sq
-            if e != Fraction(d, 2) * g:
+            e = (r * p_v - 2 * q * r * a * v.v0) * l_w - (q * p_w - 2 * q * r * a * w.v0) * l_v
+            g = (beta * cd - cn) ** 2 * rd + 2 * a * cd * cd * rd - rn * cd * cd
+            if e * cd * cd * rd != q * r * d * g:
                 return False
     return True
 

@@ -36,7 +36,7 @@ from .lattice import (
     tilt_slope,
 )
 from .walls import (
-    NumericalWall, Nesting, Semicircle, nesting, wall_a_at, wall_between, wall_from_json,
+    NumericalWall, Nesting, Semicircle, nesting, wall_between, wall_from_json,
 )
 
 QI = QuadraticIrrational
@@ -316,14 +316,28 @@ def hn_factors_at(tree: HNTree, a, beta) -> list[tuple[ChernClass, object]]:
     """Harder-Narasimhan factor classes (with tilt slopes) at the point (a, beta).
 
     A node splits into its children iff the point lies strictly inside the
-    node's wall: below the wall's height ``wall_a_at`` over beta.  At a = 0
-    consecutive equal-slope factors are merged.
+    node's wall, i.e. iff (beta - c)^2 + 2a - radius_sq < 0 for the wall of
+    center c; the point is on the wall when it is 0.  At a = 0 consecutive
+    equal-slope factors are merged.
+
+    With beta = k/m, a = p/s, c = cn/cd and radius_sq = rn/rd in lowest
+    terms, (beta - c)^2 + 2a - radius_sq is g/(m^2*cd^2*rd*s) with
+
+        g = ((k*cd - cn*m)^2*rd - rn*m^2*cd^2)*s + 2*p*m^2*cd^2*rd,
+
+    so the sign of the integer g decides: g > 0 keeps the node as a factor,
+    which includes every beta beside the wall's feet, where
+    (beta - c)^2 > radius_sq and a >= 0; g = 0 is a point on the wall; g < 0
+    descends into the children.  That is the decision by the wall's height
+    ``wall_a_at`` over beta: no height there, or a above it, is g > 0.
     """
-    a, beta = Fraction(a), Fraction(beta)
+    a, beta = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, beta))
     if a < 0:
         raise ValueError("a must be nonnegative")
     root_cls = tree.cls
-    if root_cls.v0 > 0 and not beta < mu_slope(root_cls):
+    p, s = a.numerator, a.denominator
+    k, m = beta.numerator, beta.denominator
+    if root_cls.v0 > 0 and k * root_cls.v0 >= root_cls.v1 * m:
         raise ValueError("beta must be strictly left of the vertical wall")
 
     def collect(node: HNTree) -> list[ChernClass]:
@@ -331,10 +345,13 @@ def hn_factors_at(tree: HNTree, a, beta) -> list[tuple[ChernClass, object]]:
             return [node.cls]
         if not isinstance(node.wall, Semicircle):
             raise ValueError("vertical walls are not supported in trees")
-        top = wall_a_at(node.wall, beta)
-        if top is None or a > top:
+        cn, cd = node.wall.center.numerator, node.wall.center.denominator
+        rn, rd = node.wall.radius_sq.numerator, node.wall.radius_sq.denominator
+        m2cd2 = m * m * cd * cd
+        g = ((k * cd - cn * m) ** 2 * rd - rn * m2cd2) * s + 2 * p * m2cd2 * rd
+        if g > 0:
             return [node.cls]
-        if a == top:
+        if g == 0:
             raise PointOnWallError("point lies on a wall; filtration not unique")
         out: list[ChernClass] = []
         for child in node.children:

@@ -91,7 +91,7 @@ class ChernClass:
     def __init__(self, v0: int, v1: int, v2):
         object.__setattr__(self, "v0", int(v0))
         object.__setattr__(self, "v1", int(v1))
-        object.__setattr__(self, "v2", Fraction(v2))
+        object.__setattr__(self, "v2", v2 if isinstance(v2, Fraction) else Fraction(v2))
 
     def __str__(self):
         return f"({self.v0},{self.v1},{format_rational(self.v2)})"
@@ -125,21 +125,28 @@ class TwistedClass(NamedTuple):
     t2: Fraction
 
 
-def twist(v: ChernClass, beta) -> TwistedClass:
-    """Twisted character at beta: (v0, v1 - beta*v0, v2 - beta*v1 + (beta^2/2)*v0).
+def _twist_integers(v: ChernClass, beta) -> tuple[int, int, int, int]:
+    """(m, q, T1, T2) with beta = k/m and v2 = n/q in lowest terms (m, q > 0):
+    ch1^beta(v) = T1/m and ch2^beta(v) = T2/(2*m^2*q), where
 
-    With beta = k/m and v2 = n/q each component is one quotient of integers:
-    t1 = (v1*m - k*v0)/m and t2 = (2*m^2*n - 2*k*m*q*v1 + k^2*q*v0)/(2*m^2*q).
+        T1 = v1*m - k*v0,  T2 = 2*m^2*n - 2*k*m*q*v1 + k^2*q*v0.
     """
     if not isinstance(beta, (int, Fraction)):
         beta = Fraction(beta)
     k, m = beta.numerator, beta.denominator
     n, q = v.v2.numerator, v.v2.denominator
-    return TwistedClass(
-        Fraction(v.v0),
-        Fraction(v.v1 * m - k * v.v0, m),
-        Fraction(2 * m * m * n - 2 * k * m * q * v.v1 + k * k * q * v.v0, 2 * m * m * q),
-    )
+    return m, q, v.v1 * m - k * v.v0, 2 * m * m * n - 2 * k * m * q * v.v1 + k * k * q * v.v0
+
+
+def twist(v: ChernClass, beta) -> TwistedClass:
+    """Twisted character at beta: (v0, v1 - beta*v0, v2 - beta*v1 + (beta^2/2)*v0).
+
+    With beta = k/m and v2 = n/q each component is one quotient of integers:
+    t1 = (v1*m - k*v0)/m and t2 = (2*m^2*n - 2*k*m*q*v1 + k^2*q*v0)/(2*m^2*q)
+    (`_twist_integers`).
+    """
+    m, q, t1, t2 = _twist_integers(v, beta)
+    return TwistedClass(Fraction(v.v0), Fraction(t1, m), Fraction(t2, 2 * m * m * q))
 
 
 def discriminant(v: ChernClass) -> Fraction:
@@ -161,11 +168,26 @@ def central_charge(v: ChernClass, a, beta) -> tuple[Fraction, Fraction]:
 
 
 def tilt_slope(v: ChernClass, a, beta) -> Slope:
-    """Tilt slope -Re/Im; +infinity when the imaginary part vanishes."""
-    re, im = central_charge(v, a, beta)
-    if im == 0:
+    """Tilt slope -Re/Im = (ch2^beta(v) - a*v0)/ch1^beta(v) at height a >= 0;
+    +infinity when the imaginary part ch1^beta(v) vanishes.
+
+    With beta = k/m, v2 = n/q and a = p/s in lowest terms, and T1, T2 of
+    `_twist_integers`, ch2^beta(v) - a*v0 = (T2*s - 2*m^2*q*p*v0)/(2*m^2*q*s)
+    and ch1^beta(v) = T1/m, so the slope is the one quotient of integers
+
+        (T2*s - 2*m^2*q*p*v0) / (2*m*q*s*T1),
+
+    and it is +infinity exactly when T1 = v1*m - k*v0 = 0.
+    """
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    if a < 0:
+        raise ValueError("a = alpha^2/2 must be nonnegative")
+    m, q, t1, t2 = _twist_integers(v, beta)
+    if t1 == 0:
         return INF
-    return -re / im
+    p, s = a.numerator, a.denominator
+    return Fraction(t2 * s - 2 * m * m * q * p * v.v0, 2 * m * q * s * t1)
 
 
 def mu_slope(v: ChernClass) -> Slope:

@@ -113,18 +113,33 @@ def wall_between(v: ChernClass, w: ChernClass) -> Optional[NumericalWall]:
 
     Returns None for proportional classes and for degenerate loci (empty
     semicircles).
+
+    With d01 = v0*w1 - v1*w0, d02 = v0*w2 - v2*w0 and d12 = v1*w2 - v2*w1
+    the wall is the semicircle of center d02/d01 and radius_sq
+    (d02/d01)^2 - 2*d12/d01 when d01 != 0 (Maciocia), and the vertical line
+    beta = d12/d02 when d01 = 0 and d02 != 0.  With v2 = n/q and w2 = m/r in
+    lowest terms, d02 = N02/(q*r) and d12 = N12/(q*r) with
+
+        N02 = v0*m*q - n*w0*r,  N12 = v1*m*q - n*w1*r,
+
+    so, putting D = q*r*d01, the center is N02/D and radius_sq is
+    (N02^2 - 2*N12*D)/D^2, empty (None) when that numerator is <= 0, and
+    the vertical wall is beta = N12/N02.  Each value is one quotient of
+    integers.
     """
-    d01 = Fraction(v.v0 * w.v1 - v.v1 * w.v0)
-    d02 = v.v0 * w.v2 - v.v2 * w.v0
-    d12 = v.v1 * w.v2 - v.v2 * w.v1
+    n, q = v.v2.numerator, v.v2.denominator
+    m, r = w.v2.numerator, w.v2.denominator
+    d01 = v.v0 * w.v1 - v.v1 * w.v0
+    n02 = v.v0 * m * q - n * w.v0 * r
+    n12 = v.v1 * m * q - n * w.v1 * r
     if d01 != 0:
-        s = d02 / d01
-        radius_sq = s * s - 2 * d12 / d01
-        if radius_sq <= 0:
+        d = q * r * d01
+        radius_num = n02 * n02 - 2 * n12 * d
+        if radius_num <= 0:
             return None
-        return Semicircle(s, radius_sq)
-    if d02 != 0:
-        return VerticalWall(d12 / d02)
+        return Semicircle(Fraction(n02, d), Fraction(radius_num, d * d))
+    if n02 != 0:
+        return VerticalWall(Fraction(n12, n02))
     return None
 
 

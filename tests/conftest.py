@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 from eval_oracle import horner_eval_rational
@@ -49,6 +50,57 @@ def random_disc0_class(rng: random.Random) -> ChernClass:
             continue
         # (2k^2, 2kl, l^2) is null for v1^2 - 2 v0 v2; scaling preserves it
         return ChernClass(2 * t * k * k, 2 * t * k * l, Fraction(t * l * l))
+
+
+@contextmanager
+def fractions_built():
+    """The list of argument tuples of every `Fraction` built inside the block.
+
+    It wraps `Fraction.__new__` as `perfbench/tracer.py` does, and also
+    `Fraction._from_coprime_ints` where it exists (Python 3.12 and later),
+    through which `Fraction` arithmetic builds its results without
+    `__new__`.
+    """
+    built = []
+    saved = {name: Fraction.__dict__[name]
+             for name in ("__new__", "_from_coprime_ints") if name in Fraction.__dict__}
+    new = saved["__new__"].__func__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted_new)
+    if "_from_coprime_ints" in saved:
+        coprime = saved["_from_coprime_ints"].__func__
+
+        def counted_coprime(cls, *args):
+            built.append(args)
+            return coprime(cls, *args)
+
+        Fraction._from_coprime_ints = classmethod(counted_coprime)
+    try:
+        yield built
+    finally:
+        for name, value in saved.items():
+            setattr(Fraction, name, value)
+
+
+def merging_tree() -> TreeNode:
+    """At (a, beta) = (0, -2) its factors (2,-2,0), (4,-6,4) and (-2,6,-9)
+    have the slopes 0, 0 and -1/2, so the first two merge."""
+    return TreeNode(
+        ChernClass(4, -2, -5),
+        Semicircle(Fraction(-5, 2), Fraction(5, 4)),
+        [
+            TreeLeaf(ChernClass(2, -2, 0)),
+            TreeNode(
+                ChernClass(2, 0, -5),
+                Semicircle(Fraction(-7, 3), Fraction(4, 9)),
+                [TreeLeaf(ChernClass(4, -6, 4)), TreeLeaf(ChernClass(-2, 6, -9))],
+            ),
+        ],
+    )
 
 
 def equal_slope_height(v: ChernClass, w: ChernClass, beta: Fraction):

@@ -46,6 +46,26 @@ LATTICE_FORMS = (
     "tests/test_lattice.py::TestTwistAndDiscriminant::test_integer_forms_match_fraction_formulas"
 )
 
+HN_DECISION = "tests/test_hntree.py::TestHNFactors::test_matches_the_wall_height_decision"
+
+# the Fraction form of `walls.wall_between`, as `tests/walls_oracle.py` keeps it
+FRACTION_WALL_BETWEEN = """def wall_between(v, w):
+    d01 = Fraction(v.v0 * w.v1 - v.v1 * w.v0)
+    d02 = v.v0 * w.v2 - v.v2 * w.v0
+    d12 = v.v1 * w.v2 - v.v2 * w.v1
+    if d01 != 0:
+        s = d02 / d01
+        radius_sq = s * s - 2 * d12 / d01
+        if radius_sq <= 0:
+            return None
+        return Semicircle(s, radius_sq)
+    if d02 != 0:
+        return VerticalWall(d12 / d02)
+    return None
+
+
+"""
+
 # pytest in a process that first registers the `mutants` hypothesis profile
 PYTEST = (
     "import sys, pytest\n"
@@ -96,11 +116,21 @@ MUTANTS = [
     Mutant(
         name="point beside a wall taken as inside it",
         module="hntree",
-        old="top is None or a > top",
-        new="top is not None and a > top",
-        breaks="a node splits only at a point strictly below its wall, and a wall "
-        "has no height beside its feet (`hn_factors_at`, `walls.wall_a_at`)",
+        old="(k * cd - cn * m) ** 2 * rd",
+        new="0 * rd",
+        breaks="the node decision is the sign of g, (beta - c)^2 + 2a - radius_sq "
+        "scaled, which is positive beside the wall's feet at every a >= 0 "
+        "(`hn_factors_at`)",
         killed_by="tests/test_hntree.py::TestHNFactors::test_beside_the_walls",
+    ),
+    Mutant(
+        name="point on a wall taken as outside it",
+        module="hntree",
+        old="if g > 0:",
+        new="if g >= 0:",
+        breaks="g = 0 is a point on the wall, where the filtration is not unique "
+        "(`hn_factors_at` raises PointOnWallError)",
+        killed_by=HN_DECISION,
     ),
     Mutant(
         name="discriminant-sum check deleted",
@@ -266,8 +296,37 @@ MUTANTS = [
         old="- 2 * k * m * q * v.v1 +",
         new="+ 2 * k * m * q * v.v1 +",
         breaks="t2 = v2 - beta*v1 + (beta^2/2)*v0 "
-        "= (2*m^2*n - 2*k*m*q*v1 + k^2*q*v0)/(2*m^2*q) (integer form of `twist`)",
+        "= (2*m^2*n - 2*k*m*q*v1 + k^2*q*v0)/(2*m^2*q) (`_twist_integers`, "
+        "the one integer form that `twist` and `tilt_slope` share)",
         killed_by=LATTICE_FORMS,
+    ),
+    Mutant(
+        name="tilt slope with the a-term's sign flipped",
+        module="lattice",
+        old="t2 * s - 2 * m * m * q * p * v.v0",
+        new="t2 * s + 2 * m * m * q * p * v.v0",
+        breaks="ch2^beta(v) - a*v0 = (T2*s - 2*m^2*q*p*v0)/(2*m^2*q*s) "
+        "(integer form of `tilt_slope`)",
+        killed_by="tests/test_lattice.py::TestSlopes::test_slope_sign_matches_charge",
+    ),
+    Mutant(
+        name="integer wall centre with q dropped from N02",
+        module="walls",
+        old="n02 = v.v0 * m * q - n * w.v0 * r",
+        new="n02 = v.v0 * m - n * w.v0 * r",
+        breaks="d02 = v0*m/r - n*w0/q = (v0*m*q - n*w0*r)/(q*r) "
+        "(integer form of `wall_between`)",
+        killed_by="tests/test_walls.py::TestWallBetween::test_matches_fraction_form",
+    ),
+    Mutant(
+        name="wall_between in Fraction arithmetic again",
+        module="walls",
+        old="def wall_between(v: ChernClass, w: ChernClass) -> Optional[NumericalWall]:\n",
+        new=FRACTION_WALL_BETWEEN
+        + "def _integer_wall_between(v: ChernClass, w: ChernClass) -> Optional[NumericalWall]:\n",
+        breaks="`wall_between` builds one Fraction per value it returns, so at "
+        "most two (the Fraction budget of `tests/test_counts.py`)",
+        killed_by="tests/test_counts.py::test_wall_between_builds_at_most_two",
     ),
     Mutant(
         name="rank window one less",
@@ -373,6 +432,15 @@ MUTANTS = [
         breaks="the pairs {w, v - w} close up only on cfg's lattice, so an "
         "off-lattice class is refused (proof in `enumerate_candidates`)",
         killed_by="tests/test_walls.py::TestEnumeration::test_off_lattice_class_refused",
+    ),
+    Mutant(
+        name="exact check with the w part of E not scaled by q",
+        module="catalog",
+        old="(q * p_w - 2 * q * r * a * w.v0)",
+        new="(p_w - 2 * q * r * a * w.v0)",
+        breaks="2*q*r*E = (r*P_v - 2*q*r*a*v0)*L_w - (q*P_w - 2*q*r*a*w0)*L_v "
+        "(integer form of `catalog._crosses_exactly_along`)",
+        killed_by="tests/test_walls.py::TestExactConfirmation::test_drawn_pairs",
     ),
 ]
 

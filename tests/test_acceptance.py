@@ -28,6 +28,7 @@ from tiltwall.walls import (
     wall_between,
 )
 from tiltwall import catalog
+from tiltwall.catalog import _crosses_exactly_along
 from conftest import random_class, random_disc0_class, slope_crossing_oracle
 
 F = Fraction
@@ -217,8 +218,10 @@ def test_criterion_6_identity_suites():
             hits += 1
 
 
-@_criterion(7, "independent slope-crossing oracle at grid 1/64, under 30 s")
+@_criterion(7, "independent slope-crossing oracle at grid 1/64 and exact check, under 30 s")
 def test_criterion_7_oracle_cross_check():
+    # the grid cannot see a radius_sq off by less than its cells, so each wall
+    # is also checked exactly, and rejected with radius_sq + 1/32
     start = time.monotonic()
     cases = [
         (ChernClass(2, 0, -4), F(-2)),
@@ -231,6 +234,9 @@ def test_criterion_7_oracle_cross_check():
             assert slope_crossing_oracle(v, cand.witness, cand.wall, F(1, 64))
             shifted = Semicircle(cand.wall.center + F(1, 32), cand.wall.radius_sq)
             assert not slope_crossing_oracle(v, cand.witness, shifted, F(1, 64))
+            assert _crosses_exactly_along(v, cand.witness, cand.wall)
+            inflated = Semicircle(cand.wall.center, cand.wall.radius_sq + F(1, 32))
+            assert not _crosses_exactly_along(v, cand.witness, inflated)
             confirmed += 1
     assert confirmed == 6  # 1 wall (n=4) + 3 walls (n=5) + 2 walls (n=3 query)
     assert time.monotonic() - start < 30

@@ -1,13 +1,13 @@
 import math
 import operator
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compare_oracle import case_sign, enclosure_compare
+from conftest import fractions_built
 from eval_oracle import horner_eval_rational, ring_quad_eval
 from qi_oracle import QuadraticIrrational as OracleQI, quad_eval as oracle_quad_eval
 from squarefree_oracle import is_prime, squarefree_decompose_sqrt
@@ -592,40 +592,6 @@ class TestQIOracle:
         x, ox, y, oy, _ = case
         assert_twins(quad_eval(p, x), oracle_quad_eval(p, ox))
         assert_twins(quad_eval(p, y), oracle_quad_eval(p, oy))
-
-
-@contextmanager
-def fractions_built():
-    """The list of argument tuples of every `Fraction` built inside the block.
-
-    It wraps `Fraction.__new__` as `perfbench/tracer.py` does, and also
-    `Fraction._from_coprime_ints` where it exists (Python 3.12 and later),
-    through which `Fraction` arithmetic builds its results without
-    `__new__`.
-    """
-    built = []
-    saved = {name: Fraction.__dict__[name]
-             for name in ("__new__", "_from_coprime_ints") if name in Fraction.__dict__}
-    new = saved["__new__"].__func__
-
-    def counted_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    Fraction.__new__ = staticmethod(counted_new)
-    if "_from_coprime_ints" in saved:
-        coprime = saved["_from_coprime_ints"].__func__
-
-        def counted_coprime(cls, *args):
-            built.append(args)
-            return coprime(cls, *args)
-
-        Fraction._from_coprime_ints = classmethod(counted_coprime)
-    try:
-        yield built
-    finally:
-        for name, value in saved.items():
-            setattr(Fraction, name, value)
 
 
 class TestNoFractions:

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tiltwall.exactnum import QuadPoly, QuadraticIrrational as QI, quad_eval
 from tiltwall.hntree import (
@@ -24,10 +24,12 @@ from tiltwall.hntree import (
     trivial_chd,
     validate_tree,
 )
-from tiltwall.lattice import ChernClass, chd_polynomial, discriminant
-from tiltwall.walls import Semicircle, wall_between
+from tiltwall.lattice import (
+    INF, ChernClass, central_charge, chd_polynomial, class_add, discriminant, mu_slope,
+)
+from tiltwall.walls import Semicircle, wall_a_at, wall_between
 from tiltwall import catalog, exactnum
-from conftest import chd0_value_by_factors, enumerated_trees, mutated_trees
+from conftest import chd0_value_by_factors, enumerated_trees, merging_tree, mutated_trees
 from walls_oracle import class_sub
 
 F = Fraction
@@ -145,6 +147,70 @@ class TestValidation:
         assert [l.cls for l in tree_leaves(clone)] == [l.cls for l in tree_leaves(tree)]
 
 
+def _factors_by_wall_heights(tree, a, beta):
+    """``hn_factors_at`` by the height of each wall: a node splits iff a lies
+    below ``wall_a_at(wall, beta)``, raises on it, and stays whole where the
+    wall has no height over beta; slopes are -Re/Im of ``central_charge``."""
+    if tree.cls.v0 > 0 and not beta < mu_slope(tree.cls):
+        raise ValueError("beta must be strictly left of the vertical wall")
+
+    def collect(node):
+        if isinstance(node, TreeLeaf):
+            return [node.cls]
+        top = wall_a_at(node.wall, beta)
+        if top is None or a > top:
+            return [node.cls]
+        if a == top:
+            raise PointOnWallError("on the wall")
+        return [cls for child in node.children for cls in collect(child)]
+
+    result = []
+    for cls in collect(tree):
+        re_, im = central_charge(cls, a, beta)
+        slope = INF if im == 0 else -re_ / im
+        if a == 0 and result and result[-1][1] == slope:
+            result[-1] = (class_add(result[-1][0], cls), slope)
+        else:
+            result.append((cls, slope))
+    return result
+
+
+@functools.cache
+def _trees_with_walls() -> list[TreeNode]:
+    """The catalog trees with a wall and the enumerated trees of depth <= 2."""
+    trees = [s.tree for s in map(catalog.load_scenario, catalog.list_scenarios())]
+    return [t for t in trees if isinstance(t, TreeNode)] + [t for _, t in ENUMERATED_TREES]
+
+
+@st.composite
+def hn_points(draw):
+    """(tree, a, beta) near the wall of one of the tree's nodes: a random
+    point, a point exactly on the wall, or a point beside its feet."""
+    tree = draw(st.sampled_from(_trees_with_walls()))
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TreeNode):
+            nodes.append(node)
+            stack.extend(node.children)
+    wall = draw(st.sampled_from(nodes)).wall
+    kind = draw(st.sampled_from(["random", "on", "beside"]))
+    den = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    # reach > radius, so |beta - c| >= reach is beside the feet
+    reach = math.isqrt(math.ceil(wall.radius_sq)) + 1
+    if kind == "beside":
+        offset = reach + F(draw(st.integers(0, 8)), den)
+        beta = wall.center + draw(st.sampled_from([-1, 1])) * offset
+        return tree, F(draw(st.integers(0, 4)), draw(st.sampled_from([1, 100]))), beta
+    offset = F(draw(st.integers(-den * reach, den * reach)), den)
+    if kind == "on":
+        assume(offset * offset <= wall.radius_sq)
+        return tree, wall_a_at(wall, wall.center + offset), wall.center + offset
+    # a up to 3/4 of radius_sq, above and below the wall's top radius_sq/2
+    a = wall.radius_sq * F(draw(st.integers(0, 24)), 32)
+    return tree, a, wall.center + offset
+
+
 class TestHNFactors:
     def test_inside_both_walls(self):
         factors = hn_factors_at(n4_tree(), F(1, 50), F(-5, 2))
@@ -185,6 +251,30 @@ class TestHNFactors:
     def test_right_of_vertical_wall_rejected(self):
         with pytest.raises(ValueError, match="vertical wall"):
             hn_factors_at(n4_tree(), F(1), F(0))
+
+    @given(hn_points())
+    @settings(max_examples=300, deadline=None)
+    # on the outer wall at its top and at its foot, beside the feet, at a = 0
+    # inside both walls, right of the vertical wall, and at a = 0 where the
+    # first two of three factors share the slope 0 and merge
+    @example((n4_tree(), F(9, 8), F(-5, 2)))
+    @example((n4_tree(), F(0), F(-4)))
+    @example((n4_tree(), F(1, 100), F(-9, 2)))
+    @example((n4_tree(), F(0), F(-5, 2)))
+    @example((n4_tree(), F(1), F(0)))
+    @example((merging_tree(), F(0), F(-2)))
+    def test_matches_the_wall_height_decision(self, point):
+        tree, a, beta = point
+
+        def outcome(factors_at):
+            try:
+                return factors_at(tree, a, beta)
+            except PointOnWallError:
+                return "on a wall"
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(hn_factors_at) == outcome(_factors_by_wall_heights)
 
 
 class TestPiecewiseQuadratic:

@@ -138,7 +138,18 @@ class TestSlopes:
         assert mu_slope(ChernClass(2, 4, 0)) == 2
         assert mu_slope(ChernClass(0, 2, -5)) == INF
 
-    @given(classes(), betas, st.fractions(min_value=0, max_value=10, max_denominator=16))
+    @given(
+        classes(),
+        betas,
+        st.just(F(0)) | st.fractions(min_value=0, max_value=10, max_denominator=16),
+    )
+    # beta and a of denominators above 1 and a = 0, with v2 half-integral:
+    # every factor of the integer form of `tilt_slope` counts
+    @example(ChernClass(2, 2, F(-1, 2)), F(-3, 2), F(5, 4))
+    @example(ChernClass(-2, 4, F(-3, 2)), F(1, 4), F(0))
+    @example(ChernClass(4, -2, F(1, 2)), F(-7, 3), F(0))
+    # ch1^beta(v) = 0 at beta = v1/v0 = 1/2: the slope is infinite
+    @example(ChernClass(4, 2, F(-3, 2)), F(1, 2), F(0))
     def test_slope_sign_matches_charge(self, v, beta, a):
         re, im = central_charge(v, a, beta)
         s = tilt_slope(v, a, beta)

@@ -39,7 +39,9 @@ from walls_oracle import (
     brute_force_candidates,
     class_sub,
     fraction_candidate_pairs_for_w0,
+    fraction_wall_between,
     loose_w0_bound,
+    twist_crosses_exactly_along,
     wall_height_bound,
 )
 
@@ -51,7 +53,44 @@ small_classes = st.builds(
 )
 
 
+@st.composite
+def wall_pairs(draw):
+    """(v, w) for ``wall_between`` against its Fraction form.
+
+    v2 and w2 have denominators 1, 2, 3, 5, 6 and 30 (the v2_denominator of
+    ``THIRTIETHS``), ranks are negative, zero or positive, and w is drawn
+    free, as an integer multiple of v (proportional: None), or with (w0, w1)
+    a multiple of (v0, v1) and its own w2 (a vertical wall, or None).  Free
+    draws also meet empty circles (None).
+    """
+    def rational():
+        return F(draw(st.integers(-60, 60)), draw(st.sampled_from([1, 2, 3, 5, 6, 30])))
+
+    v = ChernClass(draw(st.integers(-6, 6)), draw(st.integers(-8, 8)), rational())
+    kind = draw(st.sampled_from(["free", "proportional", "vertical"]))
+    if kind == "free":
+        return v, ChernClass(draw(st.integers(-6, 6)), draw(st.integers(-8, 8)), rational())
+    lam = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    w2 = lam * v.v2 if kind == "proportional" else rational()
+    return v, ChernClass(lam * v.v0, lam * v.v1, w2)
+
+
 class TestWallBetween:
+    @given(wall_pairs())
+    @settings(max_examples=300)
+    # a semicircle, a vertical wall, proportional classes and an empty circle,
+    # each with v2 and w2 of denominators above 1
+    @example((ChernClass(-2, 4, F(-3, 5)), ChernClass(0, 2, F(-7, 30))))
+    @example((ChernClass(2, 2, F(-1, 2)), ChernClass(-4, -4, F(7, 3))))
+    @example((ChernClass(-2, 4, F(3, 5)), ChernClass(4, -8, F(-6, 5))))
+    @example((ChernClass(2, 0, F(-1, 3)), ChernClass(2, 2, F(1, 30))))
+    def test_matches_fraction_form(self, pair):
+        v, w = pair
+        wall = wall_between(v, w)
+        assert wall == fraction_wall_between(v, w)
+        values = () if wall is None else vars(wall).values()
+        assert all(type(x) is Fraction for x in values)
+
     def test_known_wall_two_witnesses(self):
         v = ChernClass(2, 0, -2)
         expected = Semicircle(F(-3, 2), F(1, 4))
@@ -629,11 +668,13 @@ def _catalog_witness_pairs():
 
 
 class TestExactConfirmation:
-    """The exact wall predicate `check` uses, against the grid oracle."""
+    """The exact wall predicate `check` uses, against its Fraction form
+    (``twist_crosses_exactly_along``) and the grid oracle."""
 
     @staticmethod
     def _both(v, w, wall):
         exact = _crosses_exactly_along(v, w, wall)
+        assert exact == twist_crosses_exactly_along(v, w, wall)
         assert exact == slope_crossing_oracle(v, w, wall, F(1, 64))
         return exact
 
@@ -650,6 +691,8 @@ class TestExactConfirmation:
 
     @given(small_classes, small_classes)
     @settings(max_examples=40, deadline=None)
+    # v2 and w2 half-integral: q and r of the integer check both count
+    @example(ChernClass(2, -6, F(-9, 2)), ChernClass(-4, -6, F(-9, 2)))
     def test_drawn_pairs(self, v, w):
         wall = wall_between(v, w)
         # the grid oracle's cost grows with the radius, and its cells hide an

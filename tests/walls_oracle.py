@@ -10,6 +10,11 @@ that covers every wall, for comparison with the library's unbounded search.
 
 ``fraction_candidate_pairs_for_w0`` is the library's search for one rank
 as it was in Fraction arithmetic: the oracle for its integer form.
+``fraction_wall_between`` and ``twist_crosses_exactly_along`` are
+``walls.wall_between`` and ``catalog._crosses_exactly_along`` as they were
+in Fraction arithmetic: the oracles for their integer forms.  The screens
+here take walls from ``fraction_wall_between``, so no oracle in this file
+reads the library's wall formula.
 """
 
 from __future__ import annotations
@@ -19,7 +24,42 @@ from fractions import Fraction
 from typing import Union
 
 from tiltwall.lattice import ChernClass, SurfaceConfig, discriminant, twist
-from tiltwall.walls import Semicircle, WallCandidate, wall_a_at, wall_between
+from tiltwall.walls import Semicircle, VerticalWall, WallCandidate, wall_a_at
+
+
+def fraction_wall_between(v: ChernClass, w: ChernClass):
+    """``walls.wall_between`` in Fraction arithmetic: the semicircle of
+    center d02/d01 and radius_sq (d02/d01)^2 - 2*d12/d01 if d01 != 0 and
+    that is positive, the vertical line beta = d12/d02 if d01 = 0 and
+    d02 != 0, and None otherwise."""
+    d01 = Fraction(v.v0 * w.v1 - v.v1 * w.v0)
+    d02 = v.v0 * w.v2 - v.v2 * w.v0
+    d12 = v.v1 * w.v2 - v.v2 * w.v1
+    if d01 != 0:
+        s = d02 / d01
+        radius_sq = s * s - 2 * d12 / d01
+        if radius_sq <= 0:
+            return None
+        return Semicircle(s, radius_sq)
+    if d02 != 0:
+        return VerticalWall(d12 / d02)
+    return None
+
+
+def twist_crosses_exactly_along(v: ChernClass, w: ChernClass, wall: Semicircle) -> bool:
+    """``catalog._crosses_exactly_along`` in Fraction arithmetic: E = (D/2)*G
+    at beta in {0, 1, 2, 3} and a in {0, 1}, with E from ``twist``."""
+    d = w.v0 * v.v1 - v.v0 * w.v1
+    if d == 0:
+        return False
+    for beta in range(4):
+        tv, tw = twist(v, beta), twist(w, beta)
+        for a in range(2):
+            e = (tv.t2 - a * tv.t0) * tw.t1 - (tw.t2 - a * tw.t0) * tv.t1
+            g = (beta - wall.center) ** 2 + 2 * a - wall.radius_sq
+            if e != Fraction(d, 2) * g:
+                return False
+    return True
 
 
 def class_sub(v: ChernClass, w: ChernClass) -> ChernClass:
@@ -54,7 +94,7 @@ def _screen(v, w, beta_star, a_min, a_max, cfg, strict):
     total, disc_v = disc_w + disc_q, discriminant(v)
     if (total >= disc_v) if strict else (total > disc_v):
         return None
-    wall = wall_between(v, w)
+    wall = fraction_wall_between(v, w)
     if not isinstance(wall, Semicircle):
         return None
     if not (0 < w.v1 - wall.center * w.v0 <= v.v1 - wall.center * v.v0):
@@ -160,7 +200,7 @@ def fraction_candidate_pairs_for_w0(
     window is the same one (its proofs are in the library's docstring),
     computed here from Fraction values of t, g, the two half-line
     thresholds and the w2 bounds, and every point of it goes through
-    ``discriminant`` and ``wall_between`` as before.
+    ``discriminant`` and ``fraction_wall_between`` as before.
     """
     out = []
     tv = twist(v, beta_star)
@@ -212,5 +252,5 @@ def _fraction_screen(v, w, beta_star, cfg):
     if not (_in_discriminant_spectrum(discriminant(w), m)
             and _in_discriminant_spectrum(discriminant(class_sub(v, w)), m)):
         return None
-    wall = wall_between(v, w)
+    wall = fraction_wall_between(v, w)
     return wall, w, wall_a_at(wall, beta_star)
